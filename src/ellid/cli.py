@@ -19,7 +19,7 @@ import time
 
 from .errors import EllidError
 from .harness import (DEFAULT_TOL, SampleConfig, SuiteReport, result_record,
-                      run_suite, sample_params, _summarize)
+                      run_suite, _exact_mode, _sampled_check, _summarize)
 from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
                          catalog, evaluate, get_identity)
 from .theta import ThetaConfig
@@ -32,7 +32,7 @@ def _default_seed() -> int:
     try:
         return int(env)
     except ValueError:
-        raise SystemExit(2)
+        raise ValueError(f"ELLID_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_param(text: str) -> tuple[str, complex]:
@@ -45,6 +45,16 @@ def _parse_param(text: str) -> tuple[str, complex]:
     except (ValueError, IndexError):
         raise argparse.ArgumentTypeError(
             f"expected name=re[,im], got {text!r}")
+
+
+def _integer_params(fixed: dict) -> dict:
+    """Pinned values as the integers exact mode needs; anything else is an error."""
+    prm = {}
+    for name, v in fixed.items():
+        if v.imag != 0 or not v.real.is_integer():
+            raise ValueError(f"exact mode needs integer parameters, got {name}={v}")
+        prm[name] = int(v.real)
+    return prm
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +104,7 @@ def _cmd_verify(args) -> int:
     fixed = dict(args.param)
 
     if args.mode == "exact":
-        mode = MODE_EXACT_Q if MODE_EXACT_Q in desc.modes else MODE_EXACT_RATIONAL
+        mode = _exact_mode(desc)
     elif args.mode == "numeric":
         mode = MODE_NUMERIC
     else:
@@ -103,14 +113,13 @@ def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     records = []
     if mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL):
-        prm = {k: int(v.real) for k, v in fixed.items()}
-        res = evaluate(desc, prm, args.n, mode, theta_cfg, args.tol, cfg.pole_tol)
+        res = evaluate(desc, _integer_params(fixed), args.n, mode, theta_cfg,
+                       args.tol, cfg.pole_tol)
         records.append(result_record(res))
     else:
         for trial in range(args.trials):
-            prm = sample_params(desc, cfg, trial, args.n, theta_cfg, fixed=fixed)
-            res = evaluate(desc, prm, args.n, MODE_NUMERIC, theta_cfg,
-                           args.tol, cfg.pole_tol, trial)
+            res = _sampled_check(desc, cfg, trial, args.n, theta_cfg, args.tol,
+                                 fixed)
             records.append(result_record(res))
 
     report = SuiteReport(config={"sample": cfg.to_dict(), "tol": args.tol,

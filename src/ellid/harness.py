@@ -4,7 +4,9 @@ Parameter draws are derived counter-style from a SHA-256 stream keyed by
 (seed, identity, n, trial), so a draw depends only on its coordinates, never
 on execution order or thread count.  Draws that hit a pole of the identity
 (any denominator theta factor within the pole tolerance) are rejected and
-redrawn from the same stream.
+redrawn from the same stream.  The pole test is the check itself: the first
+evaluation that does not reject its draw is the reported result, so each
+accepted draw is evaluated exactly once.
 
 Reports serialize to a stable JSON schema:
 
@@ -41,6 +43,7 @@ from .qexact import RationalFn
 from .theta import POLE_TOL, ThetaConfig
 
 DEFAULT_TOL = 1e-8
+EDGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -137,29 +140,51 @@ def _draw_params(rng: _CounterRng, signature, cfg: SampleConfig, ident_id: str,
     return prm
 
 
+def _first_admissible(rng: _CounterRng, signature, cfg: SampleConfig,
+                      draw_id: str, fixed: dict | None, check,
+                      what: str) -> VerificationResult:
+    """Draw until check(params) does not reject the draw; return its result.
+
+    check is the reported evaluation itself, so an accepted draw is evaluated
+    once.  Rejected draws advance the same stream, so acceptance history
+    cannot shift later trials.
+    """
+    for _ in range(cfg.max_resamples):
+        prm = _draw_params(rng, signature, cfg, draw_id, fixed)
+        try:
+            return check(prm)
+        except DomainRejected:
+            continue
+    raise ResamplingExhausted(
+        f"no admissible draw for {what} within {cfg.max_resamples} resamples")
+
+
+def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int,
+                   theta_cfg: ThetaConfig, tol: float,
+                   fixed: dict | None = None) -> VerificationResult:
+    """Numeric check of an identity at its first admissible draw."""
+    desc = get_identity(ident)
+    rng = _CounterRng(cfg.seed, desc.id, n, trial_index)
+    return _first_admissible(
+        rng, desc.param_signature, cfg, desc.id, fixed,
+        lambda prm: evaluate(desc, prm, n, MODE_NUMERIC, theta_cfg, tol,
+                             cfg.pole_tol, trial_index),
+        f"{desc.id} (n={n}, trial={trial_index})")
+
+
 def sample_params(ident, cfg: SampleConfig, trial_index: int, n: int = 4,
                   theta_cfg: ThetaConfig = ThetaConfig(),
                   fixed: dict | None = None) -> dict:
     """First admissible parameter draw for (identity, n, trial_index).
 
-    The draw stream is keyed by (seed, id, n, trial_index); rejected draws
-    advance the same stream, so acceptance history cannot shift later trials.
-    The domain predicate is realized by attempting both evaluators: a draw is
-    admissible exactly when no sub-evaluation hits the pole tolerance.
+    The draw stream is keyed by (seed, id, n, trial_index).  The domain
+    predicate is realized by attempting both evaluators: a draw is admissible
+    exactly when no sub-evaluation hits the pole tolerance.  The suite runner
+    and `ellid verify` report the evaluation that accepted the draw instead
+    of evaluating these parameters again.
     """
-    desc = get_identity(ident)
-    rng = _CounterRng(cfg.seed, desc.id, n, trial_index)
-    for _ in range(cfg.max_resamples):
-        prm = _draw_params(rng, desc.param_signature, cfg, desc.id, fixed)
-        try:
-            evaluate(desc, prm, n, MODE_NUMERIC, theta_cfg,
-                     pole_tol=cfg.pole_tol)
-        except DomainRejected:
-            continue
-        return prm
-    raise ResamplingExhausted(
-        f"no admissible draw for {desc.id} (n={n}, trial={trial_index}) "
-        f"within {cfg.max_resamples} resamples")
+    return _sampled_check(ident, cfg, trial_index, n, theta_cfg, DEFAULT_TOL,
+                          fixed).params
 
 
 def _edge_signature(edge) -> tuple:
@@ -175,23 +200,26 @@ def _edge_signature(edge) -> tuple:
     return tuple(sig)
 
 
+def _sampled_edge_check(parent_id: str, child_id: str, cfg: SampleConfig,
+                        trial_index: int, n: int,
+                        theta_cfg: ThetaConfig) -> VerificationResult:
+    """Degeneration-edge check at its first admissible draw."""
+    edge = get_edge(parent_id, child_id)
+    rng = _CounterRng(cfg.seed, f"{parent_id}->{child_id}", n, trial_index)
+    return _first_admissible(
+        rng, _edge_signature(edge), cfg, child_id, None,
+        lambda prm: reduce_chain_check(parent_id, child_id, prm, n,
+                                       cfg=theta_cfg, tol=EDGE_TOL,
+                                       pole_tol=cfg.pole_tol, trial=trial_index),
+        f"edge {parent_id}->{child_id} (n={n}, trial={trial_index})")
+
+
 def sample_edge_params(parent_id: str, child_id: str, cfg: SampleConfig,
                        trial_index: int, n: int,
                        theta_cfg: ThetaConfig = ThetaConfig()) -> dict:
     """Admissible draw for a degeneration edge (both endpoints evaluable)."""
-    edge = get_edge(parent_id, child_id)
-    rng = _CounterRng(cfg.seed, f"{parent_id}->{child_id}", n, trial_index)
-    sig = _edge_signature(edge)
-    for _ in range(cfg.max_resamples):
-        prm = _draw_params(rng, sig, cfg, child_id)
-        try:
-            reduce_chain_check(parent_id, child_id, prm, n,
-                               cfg=theta_cfg, pole_tol=cfg.pole_tol)
-        except DomainRejected:
-            continue
-        return prm
-    raise ResamplingExhausted(
-        f"no admissible draw for edge {parent_id}->{child_id} (n={n})")
+    return _sampled_edge_check(parent_id, child_id, cfg, trial_index, n,
+                               theta_cfg).params
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +293,11 @@ def _summarize(records: list) -> dict:
     return dict(sorted(summary.items()))
 
 
+def _exact_mode(desc) -> str:
+    """The exact mode an identity is checked in when exactness is asked for."""
+    return MODE_EXACT_Q if MODE_EXACT_Q in desc.modes else MODE_EXACT_RATIONAL
+
+
 def _exact_sidecar_params(desc, cfg: SampleConfig, n: int) -> dict | None:
     """Deterministic small-integer parameters for the per-n exact run."""
     if not desc.param_signature or desc.param_signature == (("q", "complex"),):
@@ -286,9 +319,11 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
               workers: int = 1) -> SuiteReport:
     """Verify each identity for n in [0, n_max] over cfg.trials random draws.
 
-    Identities with an exact mode additionally run one exact check per n with
-    deterministic small-integer parameters.  Per-trial failures (including
-    resampling exhaustion) are recorded in the report, never raised.  With
+    Each numeric record is the evaluation that accepted its draw, so every
+    draw is evaluated once.  Identities with an exact mode additionally run
+    one exact check per n with deterministic small-integer parameters.
+    Per-trial failures (including resampling exhaustion) are recorded in the
+    report with the mode the check would have run in, never raised.  With
     workers > 1 the trials run concurrently; aggregation is keyed by
     (id, mode, n, trial) so the report is identical to a serial run.
     """
@@ -312,28 +347,23 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
 
     def run_one(task):
         kind, ident, n, trial = task
+        mode = MODE_NUMERIC
         try:
             if kind == "id":
-                prm = sample_params(ident, cfg, trial, n, theta_cfg)
-                res = evaluate(ident, prm, n, MODE_NUMERIC, theta_cfg, tol,
-                               cfg.pole_tol, trial)
+                res = _sampled_check(ident, cfg, trial, n, theta_cfg, tol)
             elif kind == "exact":
                 desc = get_identity(ident)
-                mode = (MODE_EXACT_Q if MODE_EXACT_Q in desc.modes
-                        else MODE_EXACT_RATIONAL)
+                mode = _exact_mode(desc)
                 prm = _exact_sidecar_params(desc, cfg, n)
                 if prm is None:
                     raise ResamplingExhausted(f"no admissible exact parameters for {ident}")
                 res = evaluate(ident, prm, n, mode, theta_cfg, tol, cfg.pole_tol)
             else:
                 parent, child = ident.split("->")
-                prm = sample_edge_params(parent, child, cfg, trial, n, theta_cfg)
-                res = reduce_chain_check(parent, child, prm, n, cfg=theta_cfg,
-                                         tol=1e-10, pole_tol=cfg.pole_tol,
-                                         trial=trial)
+                res = _sampled_edge_check(parent, child, cfg, trial, n, theta_cfg)
             return task, result_record(res)
         except (DomainRejected, ResamplingExhausted, ModeUnsupported) as exc:
-            return task, {"id": ident, "mode": kind, "n": n, "trial": trial,
+            return task, {"id": ident, "mode": mode, "n": n, "trial": trial,
                           "lhs": None, "rhs": None, "abs_err": math.inf,
                           "rel_err": math.inf, "pass": False,
                           "params": {}, "error": str(exc)}

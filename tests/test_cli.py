@@ -1,6 +1,9 @@
 import json
 
 from ellid.cli import main
+from ellid.harness import DEFAULT_TOL, SampleConfig, result_record, sample_params
+from ellid.identities import MODE_NUMERIC, evaluate
+from ellid.theta import ThetaConfig
 
 
 def test_list(capsys):
@@ -54,6 +57,41 @@ def test_env_seed(monkeypatch, capsys):
                  "--seed", "17"]) == 0
     out_flag = capsys.readouterr().out
     assert out_env == out_flag
+
+
+def test_env_seed_invalid_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ELLID_SEED", "x")
+    assert main(["verify", "--id", "geo", "--n", "2", "--trials", "1"]) == 2
+    assert "error: ELLID_SEED" in capsys.readouterr().err
+
+
+def test_verify_exact_rejects_non_integer_param(capsys):
+    for value in ("1.5,0", "1,2"):
+        assert main(["verify", "--id", "spc-2", "--n", "4", "--mode", "exact",
+                     "--param", f"c={value}", "--param", "d=1",
+                     "--param", "g=1", "--param", "h=2"]) == 2
+        assert "error: exact mode needs integer parameters" in capsys.readouterr().err
+    assert main(["verify", "--id", "spc-2", "--n", "4", "--mode", "exact",
+                 "--param", "c=1", "--param", "d=1",
+                 "--param", "g=1", "--param", "h=2"]) == 0
+
+
+def test_verify_json_equals_two_step_checks(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert main(["verify", "--id", "tel-c", "--n", "3", "--trials", "4",
+                 "--seed", "5", "--param", "a=0.3,0.2", "--json", str(path)]) == 0
+    results = json.loads(path.read_text())["results"]
+    cfg = SampleConfig(seed=5, trials=4)
+    theta_cfg = ThetaConfig(max_terms=64)
+    ref = []
+    for trial in range(4):
+        prm = sample_params("tel-c", cfg, trial, 3, theta_cfg,
+                            fixed={"a": 0.3 + 0.2j})
+        assert prm["a"] == 0.3 + 0.2j
+        ref.append(result_record(evaluate("tel-c", prm, 3, MODE_NUMERIC,
+                                          theta_cfg, DEFAULT_TOL,
+                                          cfg.pole_tol, trial)))
+    assert results == json.loads(json.dumps(ref))
 
 
 def test_sweep_small(tmp_path, capsys):

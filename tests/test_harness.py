@@ -2,10 +2,13 @@ import json
 
 import pytest
 
-from ellid.errors import ResamplingExhausted
-from ellid.harness import (SampleConfig, SuiteReport, run_suite,
-                           sample_edge_params, sample_params)
-from ellid.identities import evaluate
+import ellid.harness
+from ellid.errors import DomainRejected, ResamplingExhausted
+from ellid.harness import (DEFAULT_TOL, EDGE_TOL, SampleConfig, SuiteReport,
+                           result_record, run_suite, sample_edge_params,
+                           sample_params)
+from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, evaluate,
+                              reduce_chain_check)
 from ellid.theta import ThetaConfig
 
 
@@ -147,3 +150,62 @@ def test_run_suite_exact_depth():
     exact = [r for r in rep.results if r["mode"] == "exact-q"]
     assert len(exact) == 26
     assert all(r["pass"] for r in exact)
+
+
+def test_suite_records_equal_two_step_checks():
+    # each reported check is the sampler's accepted evaluation; it must equal
+    # a fresh evaluation of the sampled parameters with the suite's tolerance
+    cfg = SampleConfig(seed=31, trials=3)
+    theta_cfg = ThetaConfig()
+    rep = run_suite(["tel-c", "bigid", "m00"], 2, cfg, include_edges=True)
+    numeric = [r for r in rep.results if r["mode"] == MODE_NUMERIC]
+    assert any("->" in r["id"] for r in numeric)
+    for rec in numeric:
+        n, trial = rec["n"], rec["trial"]
+        if "->" in rec["id"]:
+            parent, child = rec["id"].split("->")
+            prm = sample_edge_params(parent, child, cfg, trial, n, theta_cfg)
+            ref = reduce_chain_check(parent, child, prm, n, cfg=theta_cfg,
+                                     tol=EDGE_TOL, pole_tol=cfg.pole_tol,
+                                     trial=trial)
+        else:
+            prm = sample_params(rec["id"], cfg, trial, n, theta_cfg)
+            ref = evaluate(rec["id"], prm, n, MODE_NUMERIC, theta_cfg,
+                           DEFAULT_TOL, cfg.pole_tol, trial)
+        assert rec == result_record(ref)
+
+
+def test_each_draw_evaluated_once(monkeypatch):
+    # every third call rejects its draw as a pole would, forcing redraws
+    calls = {"all": 0, "rejected": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kw):
+            calls["all"] += 1
+            if calls["all"] % 3 == 0:
+                calls["rejected"] += 1
+                raise DomainRejected("forced")
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(ellid.harness, "evaluate",
+                        counted(ellid.harness.evaluate))
+    monkeypatch.setattr(ellid.harness, "reduce_chain_check",
+                        counted(ellid.harness.reduce_chain_check))
+    # numeric-only identities, so every call is a sampled draw
+    rep = run_suite(["tel-c", "bigid"], 3, SampleConfig(seed=9, trials=4),
+                    include_edges=True)
+    assert rep.all_passed and all("error" not in r for r in rep.results)
+    assert any("->" in r["id"] for r in rep.results)
+    assert calls["rejected"] > 0
+    assert calls["all"] == len(rep.results) + calls["rejected"]
+
+
+def test_error_records_carry_the_check_mode():
+    # no resampling allowed: every sampled and sidecar check is exhausted
+    cfg = SampleConfig(seed=1, trials=1, max_resamples=0)
+    rep = run_suite(["spc-2"], 2, cfg, include_edges=True)
+    assert rep.results and all("error" in r for r in rep.results)
+    modes = {("->" in r["id"], r["trial"] is None, r["mode"]) for r in rep.results}
+    assert modes == {(False, False, MODE_NUMERIC), (False, True, MODE_EXACT_Q),
+                     (True, False, MODE_NUMERIC)}
