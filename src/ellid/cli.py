@@ -19,7 +19,7 @@ import time
 
 from .errors import EllidError
 from .harness import (DEFAULT_TOL, SampleConfig, SuiteReport, result_record,
-                      run_suite, _exact_mode, _sampled_check, _summarize)
+                      run_suite, _exact_mode, _sampled_check)
 from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
                          catalog, evaluate, get_identity)
 from .theta import ThetaConfig
@@ -47,13 +47,37 @@ def _parse_param(text: str) -> tuple[str, complex]:
             f"expected name=re[,im], got {text!r}")
 
 
-def _integer_params(fixed: dict) -> dict:
-    """Pinned values as the integers exact mode needs; anything else is an error."""
+def _pinned_params(desc, fixed: dict, mode: str) -> dict:
+    """Pinned values checked against the identity's signature.
+
+    Exact mode pins every parameter but q, as integers; in numeric mode the
+    integer-kind parameters (m) must be integers too.
+    """
+    kinds = dict(desc.param_signature)
+    unknown = [name for name in fixed if name not in kinds]
+    if unknown:
+        raise ValueError(f"{desc.id} has no parameter {', '.join(unknown)} "
+                         f"(its parameters: {' '.join(kinds) or 'none'})")
+    exact = mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL)
+    if exact:
+        if "q" in fixed:
+            raise ValueError("q is the indeterminate in exact-q mode and cannot be pinned")
+        missing = [name for name in kinds if name != "q" and name not in fixed]
+        if missing:
+            raise ValueError(f"exact mode needs every parameter of {desc.id} "
+                             f"pinned; missing {', '.join(missing)}")
     prm = {}
     for name, v in fixed.items():
-        if v.imag != 0 or not v.real.is_integer():
-            raise ValueError(f"exact mode needs integer parameters, got {name}={v}")
-        prm[name] = int(v.real)
+        kind = kinds[name]
+        if not exact and kind == "complex":
+            prm[name] = v
+        elif (v.imag != 0 or not v.real.is_integer()
+              or (kind == "non-negative-integer" and v.real < 0)):
+            need = ("exact mode needs integer parameters" if exact
+                    else f"{desc.id} needs {name} of kind {kind}")
+            raise ValueError(f"{need}, got {name}={v}")
+        else:
+            prm[name] = int(v.real)
     return prm
 
 
@@ -84,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=DEFAULT_TOL)
     s.add_argument("--theta-terms", type=int, default=64)
     s.add_argument("--json", dest="json_path", default=None)
-    s.add_argument("--workers", type=int, default=1)
     return ap
 
 
@@ -101,7 +124,6 @@ def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     theta_cfg = ThetaConfig(max_terms=args.theta_terms)
     cfg = SampleConfig(seed=seed, trials=args.trials)
-    fixed = dict(args.param)
 
     if args.mode == "exact":
         mode = _exact_mode(desc)
@@ -109,11 +131,12 @@ def _cmd_verify(args) -> int:
         mode = MODE_NUMERIC
     else:
         mode = "auto"
+    fixed = _pinned_params(desc, dict(args.param), mode)
 
     t0 = time.monotonic()
     records = []
     if mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL):
-        res = evaluate(desc, _integer_params(fixed), args.n, mode, theta_cfg,
+        res = evaluate(desc, fixed, args.n, mode, theta_cfg,
                        args.tol, cfg.pole_tol)
         records.append(result_record(res))
     else:
@@ -126,7 +149,7 @@ def _cmd_verify(args) -> int:
                                  "n": args.n, "id": desc.id, "mode": args.mode,
                                  "theta": {"max_terms": theta_cfg.max_terms,
                                            "tail_tol": theta_cfg.tail_tol}},
-                         results=records, summary=_summarize(records),
+                         results=records,
                          timings={"total_seconds": time.monotonic() - t0})
     if args.json_path:
         with open(args.json_path, "w") as fh:
@@ -145,7 +168,7 @@ def _cmd_sweep(args) -> int:
     cfg = SampleConfig(seed=seed, trials=args.trials)
     ids = [d.id for d in catalog()]
     report = run_suite(ids, args.n_max, cfg, args.tol, theta_cfg,
-                       include_edges=True, workers=args.workers)
+                       include_edges=True)
     if args.json_path:
         with open(args.json_path, "w") as fh:
             fh.write(report.to_json())

@@ -2,7 +2,7 @@
 
 Parameter draws are derived counter-style from a SHA-256 stream keyed by
 (seed, identity, n, trial), so a draw depends only on its coordinates, never
-on execution order or thread count.  Draws that hit a pole of the identity
+on execution order.  Draws that hit a pole of the identity
 (any denominator theta factor within the pole tolerance) are rejected and
 redrawn from the same stream.  The pole test is the check itself: the first
 evaluation that does not reject its draw is the reported result, so each
@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -64,6 +63,8 @@ class SampleConfig:
             raise ValueError("trials must be positive")
         if not 0.0 <= self.p_radius <= 0.9:
             raise ValueError("p_radius must lie in [0, 0.9]")
+        if self.max_resamples < 1:
+            raise ValueError("max_resamples must be positive")
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "trials": self.trials,
@@ -164,6 +165,8 @@ def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int,
                    fixed: dict | None = None) -> VerificationResult:
     """Numeric check of an identity at its first admissible draw."""
     desc = get_identity(ident)
+    if n < desc.min_n:
+        raise ValueError(f"{desc.id} needs n >= {desc.min_n}, got {n}")
     rng = _CounterRng(cfg.seed, desc.id, n, trial_index)
     return _first_admissible(
         rng, desc.param_signature, cfg, desc.id, fixed,
@@ -205,6 +208,9 @@ def _sampled_edge_check(parent_id: str, child_id: str, cfg: SampleConfig,
                         theta_cfg: ThetaConfig) -> VerificationResult:
     """Degeneration-edge check at its first admissible draw."""
     edge = get_edge(parent_id, child_id)
+    lo = max(edge.min_n, get_identity(child_id).min_n)
+    if n < lo:
+        raise ValueError(f"edge {parent_id}->{child_id} needs n >= {lo}, got {n}")
     rng = _CounterRng(cfg.seed, f"{parent_id}->{child_id}", n, trial_index)
     return _first_admissible(
         rng, _edge_signature(edge), cfg, child_id, None,
@@ -260,12 +266,25 @@ class SuiteReport:
 
     config: dict
     results: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
         return all(r["pass"] for r in self.results)
+
+    @property
+    def summary(self) -> dict:
+        """Per-identity trials, failures and max_rel_err, sorted by id."""
+        summary: dict = {}
+        for r in self.results:
+            s = summary.setdefault(r["id"], {"trials": 0, "failures": 0,
+                                             "max_rel_err": 0.0})
+            s["trials"] += 1
+            if not r["pass"]:
+                s["failures"] += 1
+            if isinstance(r["rel_err"], (int, float)) and r["rel_err"] > s["max_rel_err"]:
+                s["max_rel_err"] = r["rel_err"]
+        return dict(sorted(summary.items()))
 
     def to_dict(self) -> dict:
         return {"config": self.config, "results": self.results,
@@ -277,20 +296,7 @@ class SuiteReport:
     @staticmethod
     def from_json(text: str) -> "SuiteReport":
         d = json.loads(text)
-        return SuiteReport(d["config"], d["results"], d["summary"], d["timings"])
-
-
-def _summarize(records: list) -> dict:
-    summary: dict = {}
-    for r in records:
-        s = summary.setdefault(r["id"], {"trials": 0, "failures": 0,
-                                         "max_rel_err": 0.0})
-        s["trials"] += 1
-        if not r["pass"]:
-            s["failures"] += 1
-        if isinstance(r["rel_err"], (int, float)) and r["rel_err"] > s["max_rel_err"]:
-            s["max_rel_err"] = r["rel_err"]
-    return dict(sorted(summary.items()))
+        return SuiteReport(d["config"], d["results"], d["timings"])
 
 
 def _exact_mode(desc) -> str:
@@ -315,18 +321,18 @@ def _exact_sidecar_params(desc, cfg: SampleConfig, n: int) -> dict | None:
 
 
 def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
-              theta_cfg: ThetaConfig = ThetaConfig(), include_edges: bool = False,
-              workers: int = 1) -> SuiteReport:
+              theta_cfg: ThetaConfig = ThetaConfig(),
+              include_edges: bool = False) -> SuiteReport:
     """Verify each identity for n in [0, n_max] over cfg.trials random draws.
 
     Each numeric record is the evaluation that accepted its draw, so every
     draw is evaluated once.  Identities with an exact mode additionally run
     one exact check per n with deterministic small-integer parameters.
     Per-trial failures (including resampling exhaustion) are recorded in the
-    report with the mode the check would have run in, never raised.  With
-    workers > 1 the trials run concurrently; aggregation is keyed by
-    (id, mode, n, trial) so the report is identical to a serial run.
+    report with the mode the check would have run in, never raised.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     t0 = time.monotonic()
     descs = [get_identity(i) for i in ids]
     tasks = []
@@ -345,7 +351,7 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
                 for trial in range(cfg.trials):
                     tasks.append(("edge", f"{edge.parent}->{edge.child}", n, trial))
 
-    def run_one(task):
+    def run_one(task) -> dict:
         kind, ident, n, trial = task
         mode = MODE_NUMERIC
         try:
@@ -361,27 +367,19 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
             else:
                 parent, child = ident.split("->")
                 res = _sampled_edge_check(parent, child, cfg, trial, n, theta_cfg)
-            return task, result_record(res)
+            return result_record(res)
         except (DomainRejected, ResamplingExhausted, ModeUnsupported) as exc:
-            return task, {"id": ident, "mode": mode, "n": n, "trial": trial,
-                          "lhs": None, "rhs": None, "abs_err": math.inf,
-                          "rel_err": math.inf, "pass": False,
-                          "params": {}, "error": str(exc)}
+            return {"id": ident, "mode": mode, "n": n, "trial": trial,
+                    "lhs": None, "rhs": None, "abs_err": math.inf,
+                    "rel_err": math.inf, "pass": False,
+                    "params": {}, "error": str(exc)}
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(run_one, tasks))
-    else:
-        outcomes = dict(run_one(t) for t in tasks)
-
-    records = [outcomes[t] for t in tasks]  # task list order is deterministic
-    report = SuiteReport(config={"sample": cfg.to_dict(),
-                                 "theta": {"max_terms": theta_cfg.max_terms,
-                                           "tail_tol": theta_cfg.tail_tol},
-                                 "tol": tol, "n_max": n_max,
-                                 "ids": [d.id for d in descs],
-                                 "edges": include_edges},
-                         results=records,
-                         summary=_summarize(records),
-                         timings={"total_seconds": time.monotonic() - t0})
-    return report
+    records = [run_one(t) for t in tasks]
+    return SuiteReport(config={"sample": cfg.to_dict(),
+                               "theta": {"max_terms": theta_cfg.max_terms,
+                                         "tail_tol": theta_cfg.tail_tol},
+                               "tol": tol, "n_max": n_max,
+                               "ids": [d.id for d in descs],
+                               "edges": include_edges},
+                       results=records,
+                       timings={"total_seconds": time.monotonic() - t0})

@@ -944,12 +944,8 @@ _SIG_BQ = (("b", _CPX), ("q", _CPX))
 _SIG_CDGH = (("c", _CPX), ("d", _CPX), ("g", _CPX), ("h", _CPX))
 
 
-def _spc2_exact_domain(prm) -> bool:
-    c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
-    return c * d != 0 and c * h + d * g != 0
-
-
-def _hyper_exact_domain(prm) -> bool:
+def _cdgh_exact_domain(prm) -> bool:
+    """Integer c, d, g, h keep both denominators [2cd] and [ch + dg] nonzero."""
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
     return c * d != 0 and c * h + d * g != 0
 
@@ -1006,7 +1002,7 @@ def _build_catalog() -> dict:
         "q", _SIG_Q, _NUM_EXQ, _spc4ii_lhs, _spc4ii_rhs)
     add("spc-2", "four-parameter q-degeneration of the main identity", "main identity, q-case",
         "q", _SIG_Q + _SIG_CDGH, _NUM_EXQ, _spc2_lhs, _spc2_rhs,
-        exact_domain=_spc2_exact_domain)
+        exact_domain=_cdgh_exact_domain)
 
     # --- elliptic-context identities ----------------------------------------
     add("basic-g", "geometric sum of elliptic weights", "weight recurrence iterated",
@@ -1062,7 +1058,7 @@ def _build_catalog() -> dict:
     # --- rational identities -------------------------------------------------
     add("bigid-hyper", "hypergeometric version of the main identity", "main theorem, classical limit",
         "rational", _SIG_CDGH, _NUM_EXR, _hyper_lhs, _hyper_rhs,
-        exact_domain=_hyper_exact_domain)
+        exact_domain=_cdgh_exact_domain)
     add("sum-cubes", "sum of the first n cubes", "classical",
         "rational", (), _NUM_EXR, _sumcubes_lhs, _sumcubes_rhs)
 
@@ -1123,9 +1119,7 @@ def _make_env(desc: IdentityDescriptor, params: dict, mode: str,
         else:
             ep = EllipticParams(1, 1, params["q"], 0)
         return make_context(ep, tag, cfg, pole_tol)
-    if desc.family == "raw":
-        return _RawEnv(cfg, pole_tol)
-    return _RawEnv(cfg, pole_tol)   # rational family only reads pole_tol
+    return _RawEnv(cfg, pole_tol)   # raw family; the rational family only reads pole_tol
 
 
 def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, mode: str,
@@ -1246,50 +1240,30 @@ class DegenerationEdge:
     exact_ok: bool = False
 
 
-def _q_of(prm):
-    return prm["q"]
+def _qprov(prm, cfg, pol, exact):
+    """The q-arithmetic provider for prm["q"]: exact or numeric."""
+    return ExactQ() if exact else NumericQ(prm["q"], pol)
 
 
-def _edge_ctx(shape_lhs, shape_rhs, ctx_maker, scale_fn=None, n_map=None,
-              prm_map=None):
-    """Parent evaluator for a context identity in a limit context."""
+def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
+    """Parent evaluator: the parent's shapes in a limit environment.
+
+    env(prm, cfg, pol, exact) builds what the shapes evaluate over (a limit
+    context, a q-provider or a _RawEnv).  scale(P, prm, n) is the normalizing
+    prefactor over the q-provider P for prm["q"]; both sides are multiplied
+    by it.
+    """
 
     def sides(prm, n, cfg, pol, exact):
-        ctx = ctx_maker(prm, cfg, pol)
+        e = env(prm, cfg, pol, exact)
         np_ = n if n_map is None else n_map(n)
         pp = prm if prm_map is None else prm_map(prm)
-        scale = ONE if scale_fn is None else scale_fn(prm, n, pol)
-        return shape_lhs(ctx, pp, np_) * scale, shape_rhs(ctx, pp, np_) * scale
+        if scale is None:
+            return shape_lhs(e, pp, np_), shape_rhs(e, pp, np_)
+        s = scale(_qprov(prm, cfg, pol, exact), prm, n)
+        return shape_lhs(e, pp, np_) * s, shape_rhs(e, pp, np_) * s
 
     return sides
-
-
-def _edge_qid(shape_lhs, shape_rhs, prm_map=None, n_map=None, scale_fn=None):
-    """Parent evaluator for a q-provider identity (numeric or exact)."""
-
-    def sides(prm, n, cfg, pol, exact):
-        P = ExactQ() if exact else NumericQ(prm["q"], pol)
-        np_ = n if n_map is None else n_map(n)
-        pp = prm if prm_map is None else prm_map(prm)
-        scale = P.one() if scale_fn is None else scale_fn(P, prm, n)
-        return shape_lhs(P, pp, np_) * scale, shape_rhs(P, pp, np_) * scale
-
-    return sides
-
-
-def _edge_raw(shape_lhs, shape_rhs, prm_map, n_map=None, scale_fn=None):
-    def sides(prm, n, cfg, pol, exact):
-        env = _RawEnv(cfg, pol)
-        np_ = n if n_map is None else n_map(n)
-        pp = prm_map(prm)
-        scale = ONE if scale_fn is None else scale_fn(prm, n, pol)
-        return shape_lhs(env, pp, np_) * scale, shape_rhs(env, pp, np_) * scale
-
-    return sides
-
-
-def _inv_qn(P, m):
-    return P.one() / P.qn_den(m)
 
 
 def _build_edges() -> dict:
@@ -1298,153 +1272,133 @@ def _build_edges() -> dict:
     def add(parent, child, note, sides, min_n=0, exact_ok=False):
         E.append(DegenerationEdge(parent, child, note, sides, min_n, exact_ok))
 
-    full0 = lambda prm, cfg, pol: FullEllipticCtx(prm["a"], prm["b"], prm["q"], 0,
-                                                  cfg=cfg, pole_tol=pol)
-    aqctx = lambda prm, cfg, pol: AQCtx(prm["a"], prm["q"], cfg, pol)
-    bqctx = lambda prm, cfg, pol: BQCtx(prm["b"], prm["q"], cfg, pol)
-    qctx = lambda prm, cfg, pol: QCtx(prm["q"], cfg, pol)
-    qinv = lambda prm, cfg, pol: QInvCtx(prm["q"], cfg, pol)
-    aq_at = lambda aval: (lambda prm, cfg, pol: AQCtx(aval(prm), prm["q"], cfg, pol))
-    bq_at = lambda bval: (lambda prm, cfg, pol: BQCtx(bval(prm), prm["q"], cfg, pol))
+    full0 = lambda prm, cfg, pol, exact: FullEllipticCtx(
+        prm["a"], prm["b"], prm["q"], 0, cfg=cfg, pole_tol=pol)
+    fullctx = lambda prm, cfg, pol, exact: FullEllipticCtx(
+        prm["a"], prm["b"], prm["q"], prm["p"], cfg=cfg, pole_tol=pol)
+    aqctx = lambda prm, cfg, pol, exact: AQCtx(prm["a"], prm["q"], cfg, pol)
+    bqctx = lambda prm, cfg, pol, exact: BQCtx(prm["b"], prm["q"], cfg, pol)
+    qctx = lambda prm, cfg, pol, exact: QCtx(prm["q"], cfg, pol)
+    qinv = lambda prm, cfg, pol, exact: QInvCtx(prm["q"], cfg, pol)
+    aq_at = lambda aval: (lambda prm, cfg, pol, exact:
+                          AQCtx(aval(prm), prm["q"], cfg, pol))
+    bq_at = lambda bval: (lambda prm, cfg, pol, exact:
+                          BQCtx(bval(prm), prm["q"], cfg, pol))
+    raw = lambda prm, cfg, pol, exact: _RawEnv(cfg, pol)
 
     # geometric sum of weights -> plain geometric sum
     add("basic-g", "geo", "weights reduce to q^k",
-        _edge_ctx(_basicg_lhs, _basicg_rhs, qctx))
+        _edge(_basicg_lhs, _basicg_rhs, qctx))
 
     # odd-number chain
     add("tel-c", "tel-c-ab", "p = 0: theta factors become 1 - x",
-        _edge_ctx(_telc_lhs, _telc_rhs, full0))
+        _edge(_telc_lhs, _telc_rhs, full0))
     add("tel-c-ab", "tel-c-a", "b -> 0 closed form",
-        _edge_ctx(_telc_lhs, _telc_rhs, aqctx))
+        _edge(_telc_lhs, _telc_rhs, aqctx))
     add("tel-c-ab", "tel-c-b", "a -> 0 closed form",
-        _edge_ctx(_telc_lhs, _telc_rhs, bqctx))
+        _edge(_telc_lhs, _telc_rhs, bqctx))
     add("tel-c-a", "sp1", "a -> infinity; divide both sides by q",
-        _edge_ctx(_telc_lhs, _telc_rhs, qctx,
-                  scale_fn=lambda prm, n, pol: ONE / sc(prm["q"])))
+        _edge(_telc_lhs, _telc_rhs, qctx, lambda P, prm, n: P.qpow(-1)))
     add("tel-c-b", "sp1", "b -> 0; divide both sides by q",
-        _edge_ctx(_telc_lhs, _telc_rhs, qctx,
-                  scale_fn=lambda prm, n, pol: ONE / sc(prm["q"])))
+        _edge(_telc_lhs, _telc_rhs, qctx, lambda P, prm, n: P.qpow(-1)))
     add("tel-c-a", "sp2", "a -> 0; multiply both sides by q^(2n+1)",
-        _edge_ctx(_telc_lhs, _telc_rhs, qinv,
-                  scale_fn=lambda prm, n, pol: cpow(prm["q"], 2 * n + 1)))
+        _edge(_telc_lhs, _telc_rhs, qinv, lambda P, prm, n: P.qpow(2 * n + 1)))
     add("tel-c-b", "sp2", "b -> infinity; multiply both sides by q^(2n+1)",
-        _edge_ctx(_telc_lhs, _telc_rhs, qinv,
-                  scale_fn=lambda prm, n, pol: cpow(prm["q"], 2 * n + 1)))
+        _edge(_telc_lhs, _telc_rhs, qinv, lambda P, prm, n: P.qpow(2 * n + 1)))
     add("tel-c-a", "tel-c-a1", "a = 1; multiply both sides by q^(2n+1)",
-        _edge_ctx(_telc_lhs, _telc_rhs, aq_at(lambda prm: 1.0),
-                  scale_fn=lambda prm, n, pol: cpow(prm["q"], 2 * n + 1)))
+        _edge(_telc_lhs, _telc_rhs, aq_at(lambda prm: 1.0),
+              lambda P, prm, n: P.qpow(2 * n + 1)))
     add("tel-c-b", "tel-c-b1", "b = 1; divide both sides by [2] q",
-        _edge_ctx(_telc_lhs, _telc_rhs, bq_at(lambda prm: 1.0),
-                  scale_fn=lambda prm, n, pol:
-                  ONE / (NumericQ(prm["q"], pol).qn_den(2) * sc(prm["q"]))))
+        _edge(_telc_lhs, _telc_rhs, bq_at(lambda prm: 1.0),
+              lambda P, prm, n: P.one() / (P.qn_den(2) * P.qpow(1))))
     add("tel-c-a", "tel-c-aq", "a = q; multiply both sides by [2] q^(2n+1)",
-        _edge_ctx(_telc_lhs, _telc_rhs, aq_at(lambda prm: prm["q"]),
-                  scale_fn=lambda prm, n, pol:
-                  NumericQ(prm["q"], pol).qn(2) * cpow(prm["q"], 2 * n + 1)))
+        _edge(_telc_lhs, _telc_rhs, aq_at(lambda prm: prm["q"]),
+              lambda P, prm, n: P.qn(2) * P.qpow(2 * n + 1)))
     add("tel-c-b", "tel-c-bq", "b = q; divide both sides by [2][3] q",
-        _edge_ctx(_telc_lhs, _telc_rhs, bq_at(lambda prm: prm["q"]),
-                  scale_fn=lambda prm, n, pol:
-                  ONE / (NumericQ(prm["q"], pol).qn_den(2)
-                         * NumericQ(prm["q"], pol).qn_den(3) * sc(prm["q"]))))
+        _edge(_telc_lhs, _telc_rhs, bq_at(lambda prm: prm["q"]),
+              lambda P, prm, n: P.one() / (P.qn_den(2) * P.qn_den(3) * P.qpow(1))))
 
     # even-number chain (rising products, m = 1 and m = 2 reindexed)
-    fullctx = lambda prm, cfg, pol: FullEllipticCtx(prm["a"], prm["b"], prm["q"],
-                                                    prm["p"], cfg=cfg, pole_tol=pol)
     add("tel-a", "sum-even", "m = 1, index shifted by one",
-        _edge_ctx(_tela_lhs, _tela_rhs, fullctx, n_map=lambda n: n - 1,
-                  prm_map=lambda prm: {**prm, "m": 1}), min_n=1)
+        _edge(_tela_lhs, _tela_rhs, fullctx, n_map=lambda n: n - 1,
+              prm_map=lambda prm: {**prm, "m": 1}), min_n=1)
     add("tel-a", "m3rising", "m = 2, index shifted by one",
-        _edge_ctx(_tela_lhs, _tela_rhs, fullctx, n_map=lambda n: n - 1,
-                  prm_map=lambda prm: {**prm, "m": 2}), min_n=1)
+        _edge(_tela_lhs, _tela_rhs, fullctx, n_map=lambda n: n - 1,
+              prm_map=lambda prm: {**prm, "m": 2}), min_n=1)
     add("sum-even", "even-abq", "p = 0: theta factors become 1 - x",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, full0))
+        _edge(_sumeven_lhs, _sumeven_rhs, full0))
     add("even-abq", "even-aq", "b -> 0 closed form",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, aqctx))
+        _edge(_sumeven_lhs, _sumeven_rhs, aqctx))
     add("even-abq", "even-bq", "a -> 0 closed form",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, bqctx))
+        _edge(_sumeven_lhs, _sumeven_rhs, bqctx))
     add("even-aq", "triangular", "a -> infinity; divide both sides by [2]",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, qctx,
-                  scale_fn=lambda prm, n, pol: _inv_qn(NumericQ(prm["q"], pol), 2)))
+        _edge(_sumeven_lhs, _sumeven_rhs, qctx,
+              lambda P, prm, n: P.one() / P.qn_den(2)))
     add("even-bq", "triangular", "b -> 0; divide both sides by [2]",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, qctx,
-                  scale_fn=lambda prm, n, pol: _inv_qn(NumericQ(prm["q"], pol), 2)))
+        _edge(_sumeven_lhs, _sumeven_rhs, qctx,
+              lambda P, prm, n: P.one() / P.qn_den(2)))
     add("even-aq", "warnaar-triangular", "a -> 0; multiply by q^(2n-1)/[2]",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, qinv,
-                  scale_fn=lambda prm, n, pol:
-                  cpow(prm["q"], 2 * n - 1) / NumericQ(prm["q"], pol).qn_den(2)))
+        _edge(_sumeven_lhs, _sumeven_rhs, qinv,
+              lambda P, prm, n: P.qpow(2 * n - 1) / P.qn_den(2)))
     add("even-bq", "warnaar-triangular", "b -> infinity; multiply by q^(2n-1)/[2]",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, qinv,
-                  scale_fn=lambda prm, n, pol:
-                  cpow(prm["q"], 2 * n - 1) / NumericQ(prm["q"], pol).qn_den(2)))
+        _edge(_sumeven_lhs, _sumeven_rhs, qinv,
+              lambda P, prm, n: P.qpow(2 * n - 1) / P.qn_den(2)))
     add("even-aq", "warnaar-cubes", "a = 1; multiply by q^(2n-1)/[2]^2",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, aq_at(lambda prm: 1.0),
-                  scale_fn=lambda prm, n, pol:
-                  cpow(prm["q"], 2 * n - 1)
-                  / (lambda P: P.qn_den(2) * P.qn_den(2))(NumericQ(prm["q"], pol))))
+        _edge(_sumeven_lhs, _sumeven_rhs, aq_at(lambda prm: 1.0),
+              lambda P, prm, n: P.qpow(2 * n - 1) / (P.qn_den(2) * P.qn_den(2))))
     add("even-bq", "even-b1", "b = 1; divide both sides by [2]^2",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, bq_at(lambda prm: 1.0),
-                  scale_fn=lambda prm, n, pol:
-                  (lambda P: ONE / (P.qn_den(2) * P.qn_den(2)))(NumericQ(prm["q"], pol))))
+        _edge(_sumeven_lhs, _sumeven_rhs, bq_at(lambda prm: 1.0),
+              lambda P, prm, n: P.one() / (P.qn_den(2) * P.qn_den(2))))
     add("even-aq", "even-aqq", "a = q; multiply both sides by [2] q^(2n-1)",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, aq_at(lambda prm: prm["q"]),
-                  scale_fn=lambda prm, n, pol:
-                  NumericQ(prm["q"], pol).qn(2) * cpow(prm["q"], 2 * n - 1)))
+        _edge(_sumeven_lhs, _sumeven_rhs, aq_at(lambda prm: prm["q"]),
+              lambda P, prm, n: P.qn(2) * P.qpow(2 * n - 1)))
     add("even-bq", "even-bqq", "b = q; divide both sides by [3]^2",
-        _edge_ctx(_sumeven_lhs, _sumeven_rhs, bq_at(lambda prm: prm["q"]),
-                  scale_fn=lambda prm, n, pol:
-                  (lambda P: ONE / (P.qn_den(3) * P.qn_den(3)))(NumericQ(prm["q"], pol))))
+        _edge(_sumeven_lhs, _sumeven_rhs, bq_at(lambda prm: prm["q"]),
+              lambda P, prm, n: P.one() / (P.qn_den(3) * P.qn_den(3))))
 
     # m = 2 rising-product chain
     add("m3rising", "m3rising-aq", "p = 0 then b -> 0 closed form",
-        _edge_ctx(_m3rising_lhs, _m3rising_rhs, aqctx))
+        _edge(_m3rising_lhs, _m3rising_rhs, aqctx))
     add("m3rising-aq", "m3rising-aq-a0", "a -> 0; multiply by q^(3n)/[3]",
-        _edge_ctx(_m3rising_lhs, _m3rising_rhs, qinv,
-                  scale_fn=lambda prm, n, pol:
-                  cpow(prm["q"], 3 * n) / NumericQ(prm["q"], pol).qn_den(3)))
+        _edge(_m3rising_lhs, _m3rising_rhs, qinv,
+              lambda P, prm, n: P.qpow(3 * n) / P.qn_den(3)))
     add("m3rising-aq", "m3rising-aq-a1", "a = 1; multiply by q^(3n)/[3]",
-        _edge_ctx(_m3rising_lhs, _m3rising_rhs, aq_at(lambda prm: 1.0),
-                  scale_fn=lambda prm, n, pol:
-                  cpow(prm["q"], 3 * n) / NumericQ(prm["q"], pol).qn_den(3)))
+        _edge(_m3rising_lhs, _m3rising_rhs, aq_at(lambda prm: 1.0),
+              lambda P, prm, n: P.qpow(3 * n) / P.qn_den(3)))
     add("m3rising-aq", "m3rising-aq-aq", "a = q; multiply by [2]^3 q^(3n)/[3]",
-        _edge_ctx(_m3rising_lhs, _m3rising_rhs, aq_at(lambda prm: prm["q"]),
-                  scale_fn=lambda prm, n, pol:
-                  (lambda P: P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(3))(
-                      NumericQ(prm["q"], pol)) * cpow(prm["q"], 3 * n)))
+        _edge(_m3rising_lhs, _m3rising_rhs, aq_at(lambda prm: prm["q"]),
+              lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(3))
+              * P.qpow(3 * n)))
     add("m3rising-aq", "m3rising-q2-aq",
         "q -> q^2 then a = q; multiply by [2]^3 [3]^3 q^(6n)/[6]",
-        _edge_ctx(_m3rising_lhs, _m3rising_rhs,
-                  lambda prm, cfg, pol: AQCtx(prm["q"], prm["q"] ** 2, cfg, pol),
-                  scale_fn=lambda prm, n, pol:
-                  (lambda P: (P.qn(2) * P.qn(3)) * (P.qn(2) * P.qn(3))
-                   * (P.qn(2) * P.qn(3)) / P.qn_den(6))(NumericQ(prm["q"], pol))
-                  * cpow(prm["q"], 6 * n)))
+        _edge(_m3rising_lhs, _m3rising_rhs,
+              lambda prm, cfg, pol, exact: AQCtx(prm["q"], prm["q"] ** 2, cfg, pol),
+              lambda P, prm, n: ((P.qn(2) * P.qn(3)) * (P.qn(2) * P.qn(3))
+                                 * (P.qn(2) * P.qn(3)) / P.qn_den(6))
+              * P.qpow(6 * n)))
     add("m3rising-aq", "m3rising-q2-a1q",
         "q -> q^2 then a = 1/q; multiply by [2]^3 q^(6n)/[6]",
-        _edge_ctx(_m3rising_lhs, _m3rising_rhs,
-                  lambda prm, cfg, pol: AQCtx(1.0 / prm["q"], prm["q"] ** 2, cfg, pol),
-                  scale_fn=lambda prm, n, pol:
-                  (lambda P: P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(6))(
-                      NumericQ(prm["q"], pol)) * cpow(prm["q"], 6 * n)))
+        _edge(_m3rising_lhs, _m3rising_rhs,
+              lambda prm, cfg, pol, exact: AQCtx(1.0 / prm["q"], prm["q"] ** 2, cfg, pol),
+              lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(6))
+              * P.qpow(6 * n)))
 
     # main identity chain
     add("bigid", "bigid-hyper", "q -> 1 classical limit: [z] -> z, W -> 1",
-        _edge_ctx(_bigid_lhs, _bigid_rhs,
-                  lambda prm, cfg, pol: ClassicalCtx()))
+        _edge(_bigid_lhs, _bigid_rhs, lambda prm, cfg, pol, exact: ClassicalCtx()))
     add("bigid", "spc-1", "p -> 0 then b -> 0 closed form",
-        _edge_ctx(_bigid_lhs, _bigid_rhs, aqctx))
+        _edge(_bigid_lhs, _bigid_rhs, aqctx))
     add("spc-1", "spc-2", "a -> 0: products collapse into explicit q-powers",
-        _edge_ctx(_bigid_lhs, _bigid_rhs, qinv))
+        _edge(_bigid_lhs, _bigid_rhs, qinv))
     add("spc-2", "spc-4i", "c = d = g = 1, h = 0, index shift; scale q^(n-1)",
-        _edge_qid(_spc2_lhs, _spc2_rhs,
-                  prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 0},
-                  n_map=lambda n: n - 1,
-                  scale_fn=lambda P, prm, n: P.qpow(n - 1)),
+        _edge(_spc2_lhs, _spc2_rhs, _qprov, lambda P, prm, n: P.qpow(n - 1),
+              n_map=lambda n: n - 1,
+              prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 0}),
         min_n=1, exact_ok=True)
     add("spc-2", "spc-4ii", "c = d = g = h = 1, index shift; scale q^(n^2+n-2)",
-        _edge_qid(_spc2_lhs, _spc2_rhs,
-                  prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 1},
-                  n_map=lambda n: n - 1,
-                  scale_fn=lambda P, prm, n: P.qpow(n * n + n - 2)),
+        _edge(_spc2_lhs, _spc2_rhs, _qprov, lambda P, prm, n: P.qpow(n * n + n - 2),
+              n_map=lambda n: n - 1,
+              prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 1}),
         min_n=1, exact_ok=True)
 
     def _cubes_sides(prm, n, cfg, pol, exact):
@@ -1459,27 +1413,26 @@ def _build_edges() -> dict:
 
     # indefinite-summation chain
     add("e-indef-1", "indef-1", "p = 0 makes every theta factor literal",
-        _edge_raw(_eindef1_lhs, _eindef1_rhs,
-                  prm_map=lambda prm: {"a": prm["a"], "b": prm["b"], "c": 1.0,
-                                       "q": prm["q"], "p": 0.0}))
+        _edge(_eindef1_lhs, _eindef1_rhs, raw,
+              prm_map=lambda prm: {"a": prm["a"], "b": prm["b"], "c": 1.0,
+                                   "q": prm["q"], "p": 0.0}))
     add("e-indef-1", "warnaar-cubes-elliptic", "a = b = q^2, index shift",
-        _edge_raw(_eindef1_lhs, _eindef1_rhs,
-                  prm_map=lambda prm: {"a": prm["q"] ** 2, "b": prm["q"] ** 2,
-                                       "c": prm["c"], "q": prm["q"], "p": prm["p"]},
-                  n_map=lambda n: n - 1), min_n=1)
+        _edge(_eindef1_lhs, _eindef1_rhs, raw, n_map=lambda n: n - 1,
+              prm_map=lambda prm: {"a": prm["q"] ** 2, "b": prm["q"] ** 2,
+                                   "c": prm["c"], "q": prm["q"], "p": prm["p"]}),
+        min_n=1)
     add("warnaar-cubes-elliptic", "warnaar-cubes", "p = 0",
-        _edge_raw(_wce_lhs, _wce_rhs,
-                  prm_map=lambda prm: {"c": 1.0, "q": prm["q"], "p": 0.0}),
+        _edge(_wce_lhs, _wce_rhs, raw,
+              prm_map=lambda prm: {"c": 1.0, "q": prm["q"], "p": 0.0}),
         min_n=1)
     add("indef-1", "qodds", "a = b = q, then n -> n - 1; scale q^(1-n)",
-        _edge_raw(_indef1_lhs, _indef1_rhs,
-                  prm_map=lambda prm: {"a": prm["q"], "b": prm["q"], "q": prm["q"]},
-                  n_map=lambda n: n - 1,
-                  scale_fn=lambda prm, n, pol: cpow(prm["q"], 1 - n)),
+        _edge(_indef1_lhs, _indef1_rhs, raw, lambda P, prm, n: P.qpow(1 - n),
+              n_map=lambda n: n - 1,
+              prm_map=lambda prm: {"a": prm["q"], "b": prm["q"], "q": prm["q"]}),
         min_n=1)
     add("cubic-odds", "qodds", "a = 0 empties the cubic-base factorials",
-        _edge_raw(_cubicodds_lhs, _cubicodds_rhs,
-                  prm_map=lambda prm: {"a": 0.0, "q": prm["q"]}))
+        _edge(_cubicodds_lhs, _cubicodds_rhs, raw,
+              prm_map=lambda prm: {"a": 0.0, "q": prm["q"]}))
 
     return {(e.parent, e.child): e for e in E}
 

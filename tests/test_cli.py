@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import ellid.harness
 from ellid.cli import main
 from ellid.harness import DEFAULT_TOL, SampleConfig, result_record, sample_params
 from ellid.identities import MODE_NUMERIC, evaluate
@@ -105,3 +108,44 @@ def test_sweep_small(tmp_path, capsys):
     assert all(r["pass"] for r in data["results"])
     # edges are part of the sweep
     assert any("->" in r["id"] for r in data["results"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--id", "geo", "--n", "3", "--param", "zz=1"], "geo has no parameter zz"),
+    (["--id", "spc-2", "--n", "4", "--mode", "exact"], "missing c, d, g, h"),
+    (["--id", "spc-2", "--n", "4", "--mode", "exact", "--param", "c=1",
+      "--param", "d=1", "--param", "g=1"], "missing h"),
+    (["--id", "geo", "--n", "3", "--mode", "exact", "--param", "q=2"],
+     "q is the indeterminate"),
+    (["--id", "tel-a", "--n", "2", "--param", "m=1.5"],
+     "needs m of kind non-negative-integer"),
+    (["--id", "tel-b", "--n", "2", "--param", "m=-1"],
+     "needs m of kind non-negative-integer"),
+])
+def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
+    assert main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_verify_pinned_integer_param(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert main(["verify", "--id", "tel-a", "--n", "2", "--trials", "2",
+                 "--param", "m=2", "--json", str(path)]) == 0
+    results = json.loads(path.read_text())["results"]
+    assert [r["params"]["m"] for r in results] == [[2.0, 0.0], [2.0, 0.0]]
+
+
+def test_n_below_range_exits_2_before_any_draw(monkeypatch, capsys):
+    def no_draws(*args, **kw):
+        raise AssertionError("a check was drawn")
+
+    monkeypatch.setattr(ellid.harness, "_first_admissible", no_draws)
+    assert main(["verify", "--id", "geo", "--n", "-1"]) == 2
+    assert "error: geo needs n >= 0, got -1" in capsys.readouterr().err
+    assert main(["verify", "--id", "warnaar-cubes-elliptic", "--n", "0"]) == 2
+    assert "needs n >= 1" in capsys.readouterr().err
+    assert main(["verify", "--id", "geo", "--n", "-1", "--mode", "exact"]) == 2
+    assert "error: geo needs n >= 0" in capsys.readouterr().err
+    assert main(["sweep", "--n-max", "-1"]) == 2
+    assert "error: n_max must be non-negative" in capsys.readouterr().err

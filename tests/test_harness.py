@@ -102,16 +102,6 @@ def test_report_determinism():
     assert json.dumps(a) == json.dumps(b)
 
 
-def test_parallel_serial_equivalence():
-    cfg = SampleConfig(seed=13, trials=4)
-    ids = ["geo", "tel-c", "e-indef-1"]
-    a = run_suite(ids, 3, cfg, workers=1).to_dict()
-    b = run_suite(ids, 3, cfg, workers=4).to_dict()
-    a.pop("timings")
-    b.pop("timings")
-    assert a == b
-
-
 def test_monotone_truncation():
     # raising max_terms never worsens a reported rel_err by more than 1e-12
     cfg = SampleConfig(seed=21, trials=5)
@@ -142,6 +132,28 @@ def test_config_validation():
         SampleConfig(seed=0, trials=0)
     with pytest.raises(ValueError):
         SampleConfig(seed=0, trials=1, p_radius=0.95)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_resamples"):
+            SampleConfig(seed=0, trials=1, max_resamples=bad)
+
+
+def test_n_below_range_rejected_before_any_draw(monkeypatch):
+    def no_draws(*args, **kw):
+        raise AssertionError("a check was drawn")
+
+    monkeypatch.setattr(ellid.harness, "_first_admissible", no_draws)
+    cfg = SampleConfig(seed=0, trials=1)
+    with pytest.raises(ValueError, match="geo needs n >= 0"):
+        sample_params("geo", cfg, 0, -1)
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        sample_edge_params("spc-2", "spc-4i", cfg, 0, 0)
+
+
+def test_summary_is_derived_from_results():
+    rep = run_suite(["geo"], 1, SampleConfig(seed=2, trials=2))
+    rec = dict(rep.results[0], **{"pass": False, "rel_err": 0.5})
+    rep.results.append(rec)
+    assert rep.summary["geo"] == {"trials": 7, "failures": 1, "max_rel_err": 0.5}
 
 
 def test_run_suite_exact_depth():
@@ -201,9 +213,17 @@ def test_each_draw_evaluated_once(monkeypatch):
     assert calls["all"] == len(rep.results) + calls["rejected"]
 
 
-def test_error_records_carry_the_check_mode():
-    # no resampling allowed: every sampled and sidecar check is exhausted
-    cfg = SampleConfig(seed=1, trials=1, max_resamples=0)
+def test_error_records_carry_the_check_mode(monkeypatch):
+    # every draw is rejected and no exact parameters are admissible, so every
+    # sampled and sidecar check is exhausted
+    def reject(*args, **kw):
+        raise DomainRejected("forced")
+
+    monkeypatch.setattr(ellid.harness, "evaluate", reject)
+    monkeypatch.setattr(ellid.harness, "reduce_chain_check", reject)
+    monkeypatch.setattr(ellid.harness, "_exact_sidecar_params",
+                        lambda *args: None)
+    cfg = SampleConfig(seed=1, trials=1, max_resamples=2)
     rep = run_suite(["spc-2"], 2, cfg, include_edges=True)
     assert rep.results and all("error" in r for r in rep.results)
     modes = {("->" in r["id"], r["trial"] is None, r["mode"]) for r in rep.results}

@@ -1,15 +1,17 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
+import ellid.identities
 from ellid._scaled import cpow
 from ellid.errors import (DomainRejected, ModeUnsupported, UnknownEdge,
                           UnknownIdentity)
 from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, catalog, edges,
                               eval_exact_pair, evaluate, get_identity,
                               reduce_chain_check)
-from ellid.qexact import LaurentPoly, RationalFn, q_number
-from ellid.theta import factorial_scaled
+from ellid.qexact import ExactQ, LaurentPoly, RationalFn, q_number
+from ellid.theta import DEFAULT_CONFIG, factorial_scaled
 
 REQUIRED_IDS = [
     "geo", "basic-g", "bigid", "bigid-hyper", "sum-cubes", "spc-4i", "spc-4ii",
@@ -176,6 +178,43 @@ def test_all_edges_verify(draws):
         prm = sample_edge_params(e.parent, e.child, cfg, 0, n)
         res = reduce_chain_check(e.parent, e.child, prm, n)
         assert res.passed, (e.parent, e.child, res.rel_err)
+
+
+def _times_q(sides):
+    """parent_sides with both sides multiplied by q, or by 2 without a q."""
+
+    def mutant(prm, n, cfg, pol, exact):
+        lhs, rhs = sides(prm, n, cfg, pol, exact)
+        if exact:
+            f = ExactQ().qpow(1)
+        elif "q" in prm and not isinstance(lhs, Fraction):
+            f = prm["q"]
+        else:
+            f = 2
+        return lhs * f, rhs * f
+
+    return mutant
+
+
+def test_edge_scale_mutants_fail(monkeypatch):
+    # negative control: an edge whose normalization is off by a factor of q
+    # must fail at the same draw where the registered edge passes
+    from ellid.harness import SampleConfig, _sampled_edge_check
+    cfg = SampleConfig(seed=42, trials=1)
+    exact_checked = 0
+    for e in edges():
+        n = max(e.min_n, get_identity(e.child).min_n) + 2
+        checks = [lambda: _sampled_edge_check(e.parent, e.child, cfg, 0, n,
+                                              DEFAULT_CONFIG)]
+        if e.exact_ok:
+            checks.append(lambda: reduce_chain_check(e.parent, e.child, {}, n,
+                                                     mode=MODE_EXACT_Q))
+            exact_checked += 1
+        assert all(check().passed for check in checks), (e.parent, e.child)
+        monkeypatch.setitem(ellid.identities._EDGES, (e.parent, e.child),
+                            dataclasses.replace(e, parent_sides=_times_q(e.parent_sides)))
+        assert not any(check().passed for check in checks), (e.parent, e.child)
+    assert len(edges()) == 42 and exact_checked == 2
 
 
 def test_domain_rejects_poles():
