@@ -13,8 +13,8 @@ from .elliptic import (ABQ, AQ, BQ, FULL_ELLIPTIC, Q, EllipticParams,
                        elliptic_weight, make_context, quad_rel_residual)
 from .harness import SampleConfig, SuiteReport, run_suite, sample_params
 from .identities import (IdentityDescriptor, VerificationResult, catalog,
-                         edges, evaluate, reduce_chain_check)
-from .qexact import LaurentPoly, RationalFn, eval_exact, q_binomial, q_number
+                         edges, eval_exact, evaluate, reduce_chain_check)
+from .qexact import LaurentPoly, RationalFn, q_binomial, q_number
 from .telescope import TelescopePair, builder, telescope_both_sides
 from .theta import (GeometricGrid, Nome, ThetaConfig, shifted_factorial,
                     theta, theta_prod)

@@ -19,9 +19,9 @@ import time
 
 from .errors import EllidError
 from .harness import (DEFAULT_TOL, SampleConfig, SuiteReport, result_record,
-                      run_suite, _exact_mode, _sampled_check)
+                      run_suite, _check_tol, _sampled_check)
 from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
-                         catalog, evaluate, get_identity)
+                         _exact_mode, catalog, evaluate, get_identity)
 from .theta import ThetaConfig
 
 
@@ -121,6 +121,7 @@ def _cmd_list() -> int:
 
 def _cmd_verify(args) -> int:
     desc = get_identity(args.ident)
+    _check_tol(args.tol)
     seed = args.seed if args.seed is not None else _default_seed()
     theta_cfg = ThetaConfig(max_terms=args.theta_terms)
     cfg = SampleConfig(seed=seed, trials=args.trials)

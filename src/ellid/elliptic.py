@@ -163,11 +163,9 @@ class FullEllipticCtx:
 class _ClosedFormCtx:
     """Shared plumbing for the p = 0 closed forms."""
 
-    def __init__(self, q, cfg: ThetaConfig = DEFAULT_CONFIG, pole_tol: float = POLE_TOL,
-                 sigma=0):
+    def __init__(self, q, pole_tol: float = POLE_TOL, sigma=0):
         self.q = complex(q)
         self.sigma = sigma
-        self.cfg = cfg
         self.pole_tol = pole_tol
 
     def _f(self, x) -> ScaledComplex:
@@ -189,8 +187,8 @@ class ABQCtx(_ClosedFormCtx):
 
     tag = "abq"
 
-    def __init__(self, a, b, q, cfg=DEFAULT_CONFIG, pole_tol=POLE_TOL, sigma=0):
-        super().__init__(q, cfg, pole_tol, sigma)
+    def __init__(self, a, b, q, pole_tol=POLE_TOL, sigma=0):
+        super().__init__(q, pole_tol, sigma)
         self.a = complex(a)
         self.b = complex(b)
 
@@ -222,8 +220,8 @@ class AQCtx(_ClosedFormCtx):
 
     tag = "aq"
 
-    def __init__(self, a, q, cfg=DEFAULT_CONFIG, pole_tol=POLE_TOL, sigma=0):
-        super().__init__(q, cfg, pole_tol, sigma)
+    def __init__(self, a, q, pole_tol=POLE_TOL, sigma=0):
+        super().__init__(q, pole_tol, sigma)
         self.a = complex(a)
 
     def _shifted_a(self, s):
@@ -249,8 +247,8 @@ class BQCtx(_ClosedFormCtx):
 
     tag = "bq"
 
-    def __init__(self, b, q, cfg=DEFAULT_CONFIG, pole_tol=POLE_TOL, sigma=0):
-        super().__init__(q, cfg, pole_tol, sigma)
+    def __init__(self, b, q, pole_tol=POLE_TOL, sigma=0):
+        super().__init__(q, pole_tol, sigma)
         self.b = complex(b)
 
     def _shifted_b(self, s):
@@ -323,13 +321,13 @@ def make_context(params: EllipticParams, spec: Specialization = FULL_ELLIPTIC,
         return FullEllipticCtx(params.a, params.b, params.q, params.p,
                                params.sigma, cfg, pole_tol)
     if tag == "abq":
-        return ABQCtx(params.a, params.b, params.q, cfg, pole_tol, params.sigma)
+        return ABQCtx(params.a, params.b, params.q, pole_tol, params.sigma)
     if tag == "aq":
-        return AQCtx(params.a, params.q, cfg, pole_tol, params.sigma)
+        return AQCtx(params.a, params.q, pole_tol, params.sigma)
     if tag == "bq":
-        return BQCtx(params.b, params.q, cfg, pole_tol, params.sigma)
+        return BQCtx(params.b, params.q, pole_tol, params.sigma)
     if tag == "q":
-        return QCtx(params.q, cfg, pole_tol, params.sigma)
+        return QCtx(params.q, pole_tol, params.sigma)
     raise ValueError(f"unknown specialization tag {tag!r}")
 
 

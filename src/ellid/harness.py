@@ -36,10 +36,10 @@ from fractions import Fraction
 
 from .errors import DomainRejected, ModeUnsupported, ResamplingExhausted
 from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
-                         VerificationResult, edges, evaluate, get_edge,
-                         get_identity, reduce_chain_check)
+                         VerificationResult, _exact_mode, edges, evaluate,
+                         get_edge, get_identity, reduce_chain_check)
 from .qexact import RationalFn
-from .theta import POLE_TOL, ThetaConfig
+from .theta import POLE_TOL, ThetaConfig, truncation_terms
 
 DEFAULT_TOL = 1e-8
 EDGE_TOL = 1e-10
@@ -299,11 +299,6 @@ class SuiteReport:
         return SuiteReport(d["config"], d["results"], d["timings"])
 
 
-def _exact_mode(desc) -> str:
-    """The exact mode an identity is checked in when exactness is asked for."""
-    return MODE_EXACT_Q if MODE_EXACT_Q in desc.modes else MODE_EXACT_RATIONAL
-
-
 def _exact_sidecar_params(desc, cfg: SampleConfig, n: int) -> dict | None:
     """Deterministic small-integer parameters for the per-n exact run."""
     if not desc.param_signature or desc.param_signature == (("q", "complex"),):
@@ -320,6 +315,26 @@ def _exact_sidecar_params(desc, cfg: SampleConfig, n: int) -> dict | None:
     return None
 
 
+def _check_tol(tol: float) -> None:
+    """A numeric tolerance is a number in (0, 1); nan and inf are not."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
+def _check_theta_terms(cfg: SampleConfig, theta_cfg: ThetaConfig) -> None:
+    """Reject a theta truncation too short for some draw of the nome box.
+
+    The worst draw has |p| = p_radius and, after the quasi-periodicity
+    reduction, |a| = |p|; every other draw needs at most as many terms.
+    """
+    if cfg.p_radius == 0.0:
+        return
+    need = truncation_terms(cfg.p_radius, cfg.p_radius, theta_cfg.tail_tol)
+    if need > theta_cfg.max_terms:
+        raise ValueError(f"p_radius = {cfg.p_radius} needs theta max_terms >= {need}, "
+                         f"got {theta_cfg.max_terms}")
+
+
 def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
               theta_cfg: ThetaConfig = ThetaConfig(),
               include_edges: bool = False) -> SuiteReport:
@@ -329,10 +344,14 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
     draw is evaluated once.  Identities with an exact mode additionally run
     one exact check per n with deterministic small-integer parameters.
     Per-trial failures (including resampling exhaustion) are recorded in the
-    report with the mode the check would have run in, never raised.
+    report with the mode the check would have run in, never raised; a
+    configuration that could only fail part-way (n_max < 0, tol outside
+    (0, 1), too few theta terms for the nome box) raises ValueError first.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
+    _check_tol(tol)
+    _check_theta_terms(cfg, theta_cfg)
     t0 = time.monotonic()
     descs = [get_identity(i) for i in ids]
     tasks = []

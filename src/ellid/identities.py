@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable, Optional
 
 from ._scaled import ONE, ZERO, ScaledComplex, cpow, sc
@@ -35,7 +37,7 @@ from .elliptic import (AQCtx, BQCtx, ClassicalCtx, EllipticParams,
                        FullEllipticCtx, QCtx, QInvCtx, make_context)
 from .errors import (DegenerateDenominator, DivisionByZeroFactor, DomainRejected,
                      ModeUnsupported, PoleProximity, UnknownEdge, UnknownIdentity)
-from .qexact import ExactQ, LaurentPoly, RationalFn
+from .qexact import ExactQ, RationalFn
 from .theta import DEFAULT_CONFIG, POLE_TOL, ThetaConfig, factorial_scaled, theta_scaled
 
 MODE_NUMERIC = "numeric-elliptic"
@@ -618,24 +620,35 @@ def _theta_den(env: _RawEnv, x, p) -> ScaledComplex:
     return val
 
 
+def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
+    """Sum over k in ks of prod theta(tops) / den0 * prod nums / prod dens * weight(k).
+
+    Each top is (x, mults): theta(x; p), with x multiplied by each of mults
+    in turn after every term.  nums and dens are (x, base) pairs of running
+    factorials (x; base, p)_k, denominators guarded against poles; a pair
+    listed twice enters squared.  Every slot also steps after the last term,
+    so a denominator pole one index past the sum rejects the draw.
+    """
+    slots = {}
+    num = [slots.setdefault((x, b, False), _Slot(env, x, b, p)) for x, b in nums]
+    den = [slots.setdefault((x, b, True), _Slot(env, x, b, p, True)) for x, b in dens]
+    xs = [sc(x) for x, _ in tops]
+    tot = _Sum()
+    for k in ks:
+        term = reduce(mul, [theta_scaled(x, p, env.cfg)[0] for x in xs]) / den0
+        term = reduce(mul, [s.val for s in num], term)
+        tot.add(term / reduce(mul, [s.val for s in den]) * weight(k))
+        for s in slots.values():
+            s.step()
+        xs = [reduce(mul, mults, x) for x, (_, mults) in zip(xs, tops)]
+    return tot.value(ZERO)
+
+
 def _indef1_lhs(env, prm, n):
     a, b, q = prm["a"], prm["b"], prm["q"]
-    one_minus_a = ONE - sc(a)
-    if abs(one_minus_a) < env.pole_tol:
-        raise DomainRejected("1 - a within pole tolerance")
-    num1 = _Slot(env, a, q, 0)
-    num2 = _Slot(env, b, q, 0)
-    den1 = _Slot(env, q, q, 0, guard=True)
-    den2 = _Slot(env, a * q / b, q, 0, guard=True)
-    arg2k = sc(a)
-    tot = _Sum()
-    for k in range(n + 1):
-        pref = (ONE - arg2k) / one_minus_a
-        tot = tot + (pref * num1.val * num2.val / (den1.val * den2.val)
-                     * cpow(b, n - k))
-        num1.step(); num2.step(); den1.step(); den2.step()
-        arg2k = arg2k * q * q
-    return tot.value(ZERO)
+    return _slot_sum(env, 0, range(n + 1), [(a, (q, q))], _theta_den(env, a, 0),
+                     [(a, q), (b, q)], [(q, q), (a * q / b, q)],
+                     lambda k: cpow(b, n - k))
 
 
 def _indef1_rhs(env, prm, n):
@@ -649,27 +662,10 @@ def _eindef1_lhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
     p2 = p * p
     qi = 1.0 / q
-    den0 = _theta_den(env, a, p2)
-    num1 = _Slot(env, a, q, p2)
-    num2 = _Slot(env, b, q, p2)
-    num3 = _Slot(env, c * p, q, p2)
-    num4 = _Slot(env, b * c * p / a, qi, p2)
-    den1 = _Slot(env, q, q, p2, guard=True)
-    den2 = _Slot(env, a * q / b, q, p2, guard=True)
-    den3 = _Slot(env, b * c * p * q, q, p2, guard=True)
-    den4 = _Slot(env, c * p / (a * q), qi, p2, guard=True)
-    arg2k = sc(a)
-    tot = _Sum()
-    for k in range(n + 1):
-        top, _ = theta_scaled(arg2k, p2, env.cfg)
-        tot = tot + (top / den0
-                     * num1.val * num2.val * num3.val * num4.val
-                     / (den1.val * den2.val * den3.val * den4.val)
-                     * cpow(b, n - k))
-        for s in (num1, num2, num3, num4, den1, den2, den3, den4):
-            s.step()
-        arg2k = arg2k * q * q
-    return tot.value(ZERO)
+    return _slot_sum(env, p2, range(n + 1), [(a, (q, q))], _theta_den(env, a, p2),
+                     [(a, q), (b, q), (c * p, q), (b * c * p / a, qi)],
+                     [(q, q), (a * q / b, q), (b * c * p * q, q), (c * p / (a * q), qi)],
+                     lambda k: cpow(b, n - k))
 
 
 def _eindef1_rhs(env, prm, n):
@@ -687,27 +683,10 @@ def _eindef1_rhs(env, prm, n):
 
 def _ftindef_lhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
-    den0 = _theta_den(env, a, p)
-    num1 = _Slot(env, a, q, p)
-    num2 = _Slot(env, b, q, p)
-    num3 = _Slot(env, c, q, p)
-    num4 = _Slot(env, a / (b * c), q, p)
-    den1 = _Slot(env, q, q, p, guard=True)
-    den2 = _Slot(env, a * q / b, q, p, guard=True)
-    den3 = _Slot(env, a * q / c, q, p, guard=True)
-    den4 = _Slot(env, b * c * q, q, p, guard=True)
-    arg2k = sc(a)
-    tot = _Sum()
-    for k in range(n + 1):
-        top, _ = theta_scaled(arg2k, p, env.cfg)
-        tot = tot + (top / den0
-                     * num1.val * num2.val * num3.val * num4.val
-                     / (den1.val * den2.val * den3.val * den4.val)
-                     * cpow(q, k))
-        for s in (num1, num2, num3, num4, den1, den2, den3, den4):
-            s.step()
-        arg2k = arg2k * q * q
-    return tot.value(ZERO)
+    return _slot_sum(env, p, range(n + 1), [(a, (q, q))], _theta_den(env, a, p),
+                     [(a, q), (b, q), (c, q), (a / (b * c), q)],
+                     [(q, q), (a * q / b, q), (a * q / c, q), (b * c * q, q)],
+                     lambda k: cpow(q, k))
 
 
 def _ftindef_rhs(env, prm, n):
@@ -726,25 +705,11 @@ def _wce_lhs(env, prm, n):
     qi = 1.0 / q
     q2 = q * q
     q3 = q2 * q
-    den0 = _theta_den(env, q2, p2)
-    numq2 = _Slot(env, q2, q, p2)          # (q^2; q, p^2)_{k-1}, squared below
-    numcp = _Slot(env, c * p, q, p2)
-    numi = _Slot(env, c * p, qi, p2)
-    denq = _Slot(env, q, q, p2, guard=True)  # (q; q, p^2)_{k-1}, squared below
-    dencp = _Slot(env, c * p * q3, q, p2, guard=True)
-    deni = _Slot(env, c * p / q3, qi, p2, guard=True)
-    arg2k = sc(q2)
-    tot = _Sum()
-    for k in range(1, n + 1):
-        top, _ = theta_scaled(arg2k, p2, env.cfg)
-        tot = tot + (top / den0
-                     * numq2.val * numq2.val * numcp.val * numi.val
-                     / (denq.val * denq.val * dencp.val * deni.val)
-                     * cpow(q, 2 * (n - k)))
-        for s in (numq2, numcp, numi, denq, dencp, deni):
-            s.step()
-        arg2k = arg2k * q2
-    return tot.value(ZERO)
+    # (q^2; q, p^2)_{k-1} and (q; q, p^2)_{k-1} enter squared
+    return _slot_sum(env, p2, range(1, n + 1), [(q2, (q2,))], _theta_den(env, q2, p2),
+                     [(q2, q), (q2, q), (c * p, q), (c * p, qi)],
+                     [(q, q), (q, q), (c * p * q3, q), (c * p / q3, qi)],
+                     lambda k: cpow(q, 2 * (n - k)))
 
 
 def _wce_rhs(env, prm, n):
@@ -805,31 +770,12 @@ def _m00_lhs(env, prm, n):
         raise DomainRejected("d within pole tolerance of zero")
     den0 = (_theta_den(env, a * d, p) * _theta_den(env, b / d, p)
             * _theta_den(env, c / d, p))
-    num1 = _Slot(env, a * d * d / (b * c), q, p)
-    num2 = _Slot(env, b, r, p)
-    num3 = _Slot(env, c, s, p)
-    num4 = _Slot(env, a, w, p)
-    den1 = _Slot(env, d * q, q, p, guard=True)
-    den2 = _Slot(env, a * d * r / c, r, p, guard=True)
-    den3 = _Slot(env, a * d * s / b, s, p, guard=True)
-    den4 = _Slot(env, b * c * r * s / (d * q), w, p, guard=True)
-    x1, x2, x3 = sc(a * d), sc(b / d), sc(c / d)
-    m1, m2, m3 = r * s, r / q, s / q
-    tot = _Sum()
-    for k in range(n + 1):
-        t1, _ = theta_scaled(x1, p, env.cfg)
-        t2, _ = theta_scaled(x2, p, env.cfg)
-        t3, _ = theta_scaled(x3, p, env.cfg)
-        tot = tot + (t1 * t2 * t3 / den0
-                     * num1.val * num2.val * num3.val * num4.val
-                     / (den1.val * den2.val * den3.val * den4.val)
-                     * cpow(q, k))
-        for sl in (num1, num2, num3, num4, den1, den2, den3, den4):
-            sl.step()
-        x1 = x1 * m1
-        x2 = x2 * m2
-        x3 = x3 * m3
-    return tot.value(ZERO)
+    return _slot_sum(env, p, range(n + 1),
+                     [(a * d, (r * s,)), (b / d, (r / q,)), (c / d, (s / q,))], den0,
+                     [(a * d * d / (b * c), q), (b, r), (c, s), (a, w)],
+                     [(d * q, q), (a * d * r / c, r), (a * d * s / b, s),
+                      (b * c * r * s / (d * q), w)],
+                     lambda k: cpow(q, k))
 
 
 def _m00_rhs(env, prm, n):
@@ -876,8 +822,7 @@ def _hyper_den_guard(x, exact: bool, pole_tol: float):
 def _hyper_lhs(env, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
     exact = isinstance(c, Fraction)
-    den = _hyper_den_guard(c * d * (c * h + d * g), exact,
-                           env.pole_tol if env else POLE_TOL)
+    den = _hyper_den_guard(c * d * (c * h + d * g), exact, env.pole_tol)
     tot = _Sum()
     for k in range(n + 1):
         tot = tot + (g * k + c) * (h * k + d) * (2 * g * h * k + c * h + d * g)
@@ -887,9 +832,8 @@ def _hyper_lhs(env, prm, n):
 def _hyper_rhs(env, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
     exact = isinstance(c, Fraction)
-    pol = env.pole_tol if env else POLE_TOL
-    den1 = _hyper_den_guard(2 * c * d * (c * h + d * g), exact, pol)
-    den2 = _hyper_den_guard(2 * (c * h + d * g), exact, pol)
+    den1 = _hyper_den_guard(2 * c * d * (c * h + d * g), exact, env.pole_tol)
+    den2 = _hyper_den_guard(2 * (c * h + d * g), exact, env.pole_tol)
     first = (g * n + c) * (h * n + h + d) * (g * n + g + c) * (h * n + d) / den1
     second = (d - h) * (c - g) / den2
     if exact:
@@ -1107,7 +1051,7 @@ def _make_env(desc: IdentityDescriptor, params: dict, mode: str,
     if desc.family == "q":
         return ExactQ() if mode == MODE_EXACT_Q else NumericQ(params["q"], pole_tol)
     if desc.family == "ctx":
-        tag = params.get("spec", desc.ctx_tag)  # optional specialization override
+        tag = desc.ctx_tag
         if tag == "full-elliptic":
             ep = EllipticParams(params["a"], params["b"], params["q"], params["p"])
         elif tag == "abq":
@@ -1157,8 +1101,18 @@ def _to_reported(v):
     return v
 
 
-def default_mode(desc: IdentityDescriptor) -> str:
-    return MODE_NUMERIC if MODE_NUMERIC in desc.modes else next(iter(desc.modes))
+def _exact_mode(desc: IdentityDescriptor) -> str:
+    """The exact mode an identity is checked in when exactness is asked for."""
+    return MODE_EXACT_Q if MODE_EXACT_Q in desc.modes else MODE_EXACT_RATIONAL
+
+
+def _exact_sides(desc: IdentityDescriptor, params: dict, n: int, mode: str):
+    """Exact (lhs, rhs): over ExactQ in exact-q mode, else over Fractions."""
+    if mode == MODE_EXACT_RATIONAL:
+        params = {k: Fraction(v) for k, v in params.items()}
+    if desc.exact_domain is not None and not desc.exact_domain(params):
+        raise DomainRejected(f"{desc.id}: inadmissible exact parameters")
+    return _eval_sides(desc, params, n, mode, DEFAULT_CONFIG, POLE_TOL)
 
 
 def evaluate(ident, params: dict, n: int, mode: str = "auto",
@@ -1166,13 +1120,13 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto",
              pole_tol: float = POLE_TOL, trial: Optional[int] = None) -> VerificationResult:
     """Evaluate both sides of an identity independently and compare.
 
-    Numeric mode passes when rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1)
+    Numeric mode ("auto") passes when rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1)
     is at most tol; exact modes require exact equality (cross-multiplied
     for RationalFn values).
     """
     desc = get_identity(ident)
     if mode == "auto":
-        mode = default_mode(desc)
+        mode = MODE_NUMERIC
     if not desc.supports(mode):
         raise ModeUnsupported(f"{desc.id} does not support mode {mode!r}")
 
@@ -1182,40 +1136,27 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto",
         return VerificationResult(desc.id, mode, n, _to_reported(lv), _to_reported(rv),
                                   abs_err, rel_err, rel_err <= tol, dict(params), trial)
 
-    if mode == MODE_EXACT_Q:
-        if desc.exact_domain is not None and not desc.exact_domain(params):
-            raise DomainRejected(f"{desc.id}: inadmissible integer parameters")
-        lv, rv = _eval_sides(desc, params, n, mode, cfg, pole_tol)
-        equal = lv == rv
-        err = 0.0 if equal else math.inf
-        return VerificationResult(desc.id, mode, n, lv, rv, err, err, equal,
-                                  dict(params), trial)
-
-    # exact-rational: evaluate over Fractions
-    fparams = {k: (Fraction(v) if not isinstance(v, Fraction) else v)
-               for k, v in params.items()}
-    if desc.exact_domain is not None and not desc.exact_domain(fparams):
-        raise DomainRejected(f"{desc.id}: inadmissible rational parameters")
-    lv, rv = _eval_sides(desc, fparams, n, mode, cfg, pole_tol)
+    lv, rv = _exact_sides(desc, params, n, mode)
     equal = lv == rv
     err = 0.0 if equal else math.inf
     return VerificationResult(desc.id, mode, n, lv, rv, err, err, equal,
                               dict(params), trial)
 
 
-def eval_exact_pair(ident, n: int, int_params: dict | None = None):
-    """(LHS, RHS) of an exact-capable identity as RationalFn values."""
+def eval_exact(ident, n: int, int_params: dict | None = None) -> tuple[RationalFn, RationalFn]:
+    """Both sides of an exact-capable identity as RationalFn values.
+
+    `ident` is an identity id or descriptor from the catalog; the caller
+    compares the returned pair (RationalFn equality cross-multiplies).
+    """
     desc = get_identity(ident)
-    params = dict(int_params or {})
-    if MODE_EXACT_Q in desc.modes:
-        lv, rv = _eval_sides(desc, params, n, MODE_EXACT_Q, DEFAULT_CONFIG, POLE_TOL)
+    mode = _exact_mode(desc)
+    if not desc.supports(mode):
+        raise ModeUnsupported(f"{desc.id} has no exact mode")
+    lv, rv = _exact_sides(desc, dict(int_params or {}), n, mode)
+    if mode == MODE_EXACT_Q:
         return lv, rv
-    if MODE_EXACT_RATIONAL in desc.modes:
-        fparams = {k: Fraction(v) for k, v in params.items()}
-        lv, rv = _eval_sides(desc, fparams, n, MODE_EXACT_RATIONAL, DEFAULT_CONFIG, POLE_TOL)
-        return (RationalFn(LaurentPoly.monomial(0, Fraction(lv))),
-                RationalFn(LaurentPoly.monomial(0, Fraction(rv))))
-    raise ModeUnsupported(f"{desc.id} has no exact mode")
+    return RationalFn.from_scalar(Fraction(lv)), RationalFn.from_scalar(Fraction(rv))
 
 
 # ---------------------------------------------------------------------------
@@ -1240,11 +1181,6 @@ class DegenerationEdge:
     exact_ok: bool = False
 
 
-def _qprov(prm, cfg, pol, exact):
-    """The q-arithmetic provider for prm["q"]: exact or numeric."""
-    return ExactQ() if exact else NumericQ(prm["q"], pol)
-
-
 def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
     """Parent evaluator: the parent's shapes in a limit environment.
 
@@ -1260,7 +1196,7 @@ def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
         pp = prm if prm_map is None else prm_map(prm)
         if scale is None:
             return shape_lhs(e, pp, np_), shape_rhs(e, pp, np_)
-        s = scale(_qprov(prm, cfg, pol, exact), prm, n)
+        s = scale(ExactQ() if exact else NumericQ(prm["q"], pol), prm, n)
         return shape_lhs(e, pp, np_) * s, shape_rhs(e, pp, np_) * s
 
     return sides
@@ -1269,137 +1205,107 @@ def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
 def _build_edges() -> dict:
     E = []
 
-    def add(parent, child, note, sides, min_n=0, exact_ok=False):
+    def add(parent, child, note, env=None, scale=None, n_map=None, prm_map=None,
+            min_n=0, exact_ok=False, sides=None):
+        """Register parent -> child.  Unless sides is given, the parent's own
+        evaluators run over env, by default the parent's own environment."""
+        if sides is None:
+            desc = _CATALOG[parent]
+            if env is None:
+                env = lambda prm, cfg, pol, exact: _make_env(
+                    desc, prm, MODE_EXACT_Q if exact else MODE_NUMERIC, cfg, pol)
+            sides = _edge(desc.lhs, desc.rhs, env, scale, n_map, prm_map)
         E.append(DegenerationEdge(parent, child, note, sides, min_n, exact_ok))
 
     full0 = lambda prm, cfg, pol, exact: FullEllipticCtx(
         prm["a"], prm["b"], prm["q"], 0, cfg=cfg, pole_tol=pol)
-    fullctx = lambda prm, cfg, pol, exact: FullEllipticCtx(
-        prm["a"], prm["b"], prm["q"], prm["p"], cfg=cfg, pole_tol=pol)
-    aqctx = lambda prm, cfg, pol, exact: AQCtx(prm["a"], prm["q"], cfg, pol)
-    bqctx = lambda prm, cfg, pol, exact: BQCtx(prm["b"], prm["q"], cfg, pol)
-    qctx = lambda prm, cfg, pol, exact: QCtx(prm["q"], cfg, pol)
-    qinv = lambda prm, cfg, pol, exact: QInvCtx(prm["q"], cfg, pol)
-    aq_at = lambda aval: (lambda prm, cfg, pol, exact:
-                          AQCtx(aval(prm), prm["q"], cfg, pol))
-    bq_at = lambda bval: (lambda prm, cfg, pol, exact:
-                          BQCtx(bval(prm), prm["q"], cfg, pol))
-    raw = lambda prm, cfg, pol, exact: _RawEnv(cfg, pol)
+    aqctx = lambda prm, cfg, pol, exact: AQCtx(prm["a"], prm["q"], pol)
+    bqctx = lambda prm, cfg, pol, exact: BQCtx(prm["b"], prm["q"], pol)
+    qctx = lambda prm, cfg, pol, exact: QCtx(prm["q"], pol)
+    qinv = lambda prm, cfg, pol, exact: QInvCtx(prm["q"], pol)
+    aq_at = lambda aval: (lambda prm, cfg, pol, exact: AQCtx(aval(prm), prm["q"], pol))
+    bq_at = lambda bval: (lambda prm, cfg, pol, exact: BQCtx(bval(prm), prm["q"], pol))
+    one = lambda prm: 1.0
+    q_ = lambda prm: prm["q"]
 
     # geometric sum of weights -> plain geometric sum
-    add("basic-g", "geo", "weights reduce to q^k",
-        _edge(_basicg_lhs, _basicg_rhs, qctx))
+    add("basic-g", "geo", "weights reduce to q^k", qctx)
 
     # odd-number chain
-    add("tel-c", "tel-c-ab", "p = 0: theta factors become 1 - x",
-        _edge(_telc_lhs, _telc_rhs, full0))
-    add("tel-c-ab", "tel-c-a", "b -> 0 closed form",
-        _edge(_telc_lhs, _telc_rhs, aqctx))
-    add("tel-c-ab", "tel-c-b", "a -> 0 closed form",
-        _edge(_telc_lhs, _telc_rhs, bqctx))
-    add("tel-c-a", "sp1", "a -> infinity; divide both sides by q",
-        _edge(_telc_lhs, _telc_rhs, qctx, lambda P, prm, n: P.qpow(-1)))
-    add("tel-c-b", "sp1", "b -> 0; divide both sides by q",
-        _edge(_telc_lhs, _telc_rhs, qctx, lambda P, prm, n: P.qpow(-1)))
-    add("tel-c-a", "sp2", "a -> 0; multiply both sides by q^(2n+1)",
-        _edge(_telc_lhs, _telc_rhs, qinv, lambda P, prm, n: P.qpow(2 * n + 1)))
-    add("tel-c-b", "sp2", "b -> infinity; multiply both sides by q^(2n+1)",
-        _edge(_telc_lhs, _telc_rhs, qinv, lambda P, prm, n: P.qpow(2 * n + 1)))
-    add("tel-c-a", "tel-c-a1", "a = 1; multiply both sides by q^(2n+1)",
-        _edge(_telc_lhs, _telc_rhs, aq_at(lambda prm: 1.0),
-              lambda P, prm, n: P.qpow(2 * n + 1)))
-    add("tel-c-b", "tel-c-b1", "b = 1; divide both sides by [2] q",
-        _edge(_telc_lhs, _telc_rhs, bq_at(lambda prm: 1.0),
-              lambda P, prm, n: P.one() / (P.qn_den(2) * P.qpow(1))))
-    add("tel-c-a", "tel-c-aq", "a = q; multiply both sides by [2] q^(2n+1)",
-        _edge(_telc_lhs, _telc_rhs, aq_at(lambda prm: prm["q"]),
-              lambda P, prm, n: P.qn(2) * P.qpow(2 * n + 1)))
-    add("tel-c-b", "tel-c-bq", "b = q; divide both sides by [2][3] q",
-        _edge(_telc_lhs, _telc_rhs, bq_at(lambda prm: prm["q"]),
-              lambda P, prm, n: P.one() / (P.qn_den(2) * P.qn_den(3) * P.qpow(1))))
+    add("tel-c", "tel-c-ab", "p = 0: theta factors become 1 - x", full0)
+    add("tel-c-ab", "tel-c-a", "b -> 0 closed form", aqctx)
+    add("tel-c-ab", "tel-c-b", "a -> 0 closed form", bqctx)
+    add("tel-c-a", "sp1", "a -> infinity; divide both sides by q", qctx,
+        lambda P, prm, n: P.qpow(-1))
+    add("tel-c-b", "sp1", "b -> 0; divide both sides by q", qctx,
+        lambda P, prm, n: P.qpow(-1))
+    add("tel-c-a", "sp2", "a -> 0; multiply both sides by q^(2n+1)", qinv,
+        lambda P, prm, n: P.qpow(2 * n + 1))
+    add("tel-c-b", "sp2", "b -> infinity; multiply both sides by q^(2n+1)", qinv,
+        lambda P, prm, n: P.qpow(2 * n + 1))
+    add("tel-c-a", "tel-c-a1", "a = 1; multiply both sides by q^(2n+1)", aq_at(one),
+        lambda P, prm, n: P.qpow(2 * n + 1))
+    add("tel-c-b", "tel-c-b1", "b = 1; divide both sides by [2] q", bq_at(one),
+        lambda P, prm, n: P.one() / (P.qn_den(2) * P.qpow(1)))
+    add("tel-c-a", "tel-c-aq", "a = q; multiply both sides by [2] q^(2n+1)", aq_at(q_),
+        lambda P, prm, n: P.qn(2) * P.qpow(2 * n + 1))
+    add("tel-c-b", "tel-c-bq", "b = q; divide both sides by [2][3] q", bq_at(q_),
+        lambda P, prm, n: P.one() / (P.qn_den(2) * P.qn_den(3) * P.qpow(1)))
 
     # even-number chain (rising products, m = 1 and m = 2 reindexed)
-    add("tel-a", "sum-even", "m = 1, index shifted by one",
-        _edge(_tela_lhs, _tela_rhs, fullctx, n_map=lambda n: n - 1,
-              prm_map=lambda prm: {**prm, "m": 1}), min_n=1)
-    add("tel-a", "m3rising", "m = 2, index shifted by one",
-        _edge(_tela_lhs, _tela_rhs, fullctx, n_map=lambda n: n - 1,
-              prm_map=lambda prm: {**prm, "m": 2}), min_n=1)
-    add("sum-even", "even-abq", "p = 0: theta factors become 1 - x",
-        _edge(_sumeven_lhs, _sumeven_rhs, full0))
-    add("even-abq", "even-aq", "b -> 0 closed form",
-        _edge(_sumeven_lhs, _sumeven_rhs, aqctx))
-    add("even-abq", "even-bq", "a -> 0 closed form",
-        _edge(_sumeven_lhs, _sumeven_rhs, bqctx))
-    add("even-aq", "triangular", "a -> infinity; divide both sides by [2]",
-        _edge(_sumeven_lhs, _sumeven_rhs, qctx,
-              lambda P, prm, n: P.one() / P.qn_den(2)))
-    add("even-bq", "triangular", "b -> 0; divide both sides by [2]",
-        _edge(_sumeven_lhs, _sumeven_rhs, qctx,
-              lambda P, prm, n: P.one() / P.qn_den(2)))
-    add("even-aq", "warnaar-triangular", "a -> 0; multiply by q^(2n-1)/[2]",
-        _edge(_sumeven_lhs, _sumeven_rhs, qinv,
-              lambda P, prm, n: P.qpow(2 * n - 1) / P.qn_den(2)))
-    add("even-bq", "warnaar-triangular", "b -> infinity; multiply by q^(2n-1)/[2]",
-        _edge(_sumeven_lhs, _sumeven_rhs, qinv,
-              lambda P, prm, n: P.qpow(2 * n - 1) / P.qn_den(2)))
-    add("even-aq", "warnaar-cubes", "a = 1; multiply by q^(2n-1)/[2]^2",
-        _edge(_sumeven_lhs, _sumeven_rhs, aq_at(lambda prm: 1.0),
-              lambda P, prm, n: P.qpow(2 * n - 1) / (P.qn_den(2) * P.qn_den(2))))
-    add("even-bq", "even-b1", "b = 1; divide both sides by [2]^2",
-        _edge(_sumeven_lhs, _sumeven_rhs, bq_at(lambda prm: 1.0),
-              lambda P, prm, n: P.one() / (P.qn_den(2) * P.qn_den(2))))
-    add("even-aq", "even-aqq", "a = q; multiply both sides by [2] q^(2n-1)",
-        _edge(_sumeven_lhs, _sumeven_rhs, aq_at(lambda prm: prm["q"]),
-              lambda P, prm, n: P.qn(2) * P.qpow(2 * n - 1)))
-    add("even-bq", "even-bqq", "b = q; divide both sides by [3]^2",
-        _edge(_sumeven_lhs, _sumeven_rhs, bq_at(lambda prm: prm["q"]),
-              lambda P, prm, n: P.one() / (P.qn_den(3) * P.qn_den(3))))
+    add("tel-a", "sum-even", "m = 1, index shifted by one", n_map=lambda n: n - 1,
+        prm_map=lambda prm: {**prm, "m": 1}, min_n=1)
+    add("tel-a", "m3rising", "m = 2, index shifted by one", n_map=lambda n: n - 1,
+        prm_map=lambda prm: {**prm, "m": 2}, min_n=1)
+    add("sum-even", "even-abq", "p = 0: theta factors become 1 - x", full0)
+    add("even-abq", "even-aq", "b -> 0 closed form", aqctx)
+    add("even-abq", "even-bq", "a -> 0 closed form", bqctx)
+    add("even-aq", "triangular", "a -> infinity; divide both sides by [2]", qctx,
+        lambda P, prm, n: P.one() / P.qn_den(2))
+    add("even-bq", "triangular", "b -> 0; divide both sides by [2]", qctx,
+        lambda P, prm, n: P.one() / P.qn_den(2))
+    add("even-aq", "warnaar-triangular", "a -> 0; multiply by q^(2n-1)/[2]", qinv,
+        lambda P, prm, n: P.qpow(2 * n - 1) / P.qn_den(2))
+    add("even-bq", "warnaar-triangular", "b -> infinity; multiply by q^(2n-1)/[2]", qinv,
+        lambda P, prm, n: P.qpow(2 * n - 1) / P.qn_den(2))
+    add("even-aq", "warnaar-cubes", "a = 1; multiply by q^(2n-1)/[2]^2", aq_at(one),
+        lambda P, prm, n: P.qpow(2 * n - 1) / (P.qn_den(2) * P.qn_den(2)))
+    add("even-bq", "even-b1", "b = 1; divide both sides by [2]^2", bq_at(one),
+        lambda P, prm, n: P.one() / (P.qn_den(2) * P.qn_den(2)))
+    add("even-aq", "even-aqq", "a = q; multiply both sides by [2] q^(2n-1)", aq_at(q_),
+        lambda P, prm, n: P.qn(2) * P.qpow(2 * n - 1))
+    add("even-bq", "even-bqq", "b = q; divide both sides by [3]^2", bq_at(q_),
+        lambda P, prm, n: P.one() / (P.qn_den(3) * P.qn_den(3)))
 
     # m = 2 rising-product chain
-    add("m3rising", "m3rising-aq", "p = 0 then b -> 0 closed form",
-        _edge(_m3rising_lhs, _m3rising_rhs, aqctx))
-    add("m3rising-aq", "m3rising-aq-a0", "a -> 0; multiply by q^(3n)/[3]",
-        _edge(_m3rising_lhs, _m3rising_rhs, qinv,
-              lambda P, prm, n: P.qpow(3 * n) / P.qn_den(3)))
-    add("m3rising-aq", "m3rising-aq-a1", "a = 1; multiply by q^(3n)/[3]",
-        _edge(_m3rising_lhs, _m3rising_rhs, aq_at(lambda prm: 1.0),
-              lambda P, prm, n: P.qpow(3 * n) / P.qn_den(3)))
-    add("m3rising-aq", "m3rising-aq-aq", "a = q; multiply by [2]^3 q^(3n)/[3]",
-        _edge(_m3rising_lhs, _m3rising_rhs, aq_at(lambda prm: prm["q"]),
-              lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(3))
-              * P.qpow(3 * n)))
+    add("m3rising", "m3rising-aq", "p = 0 then b -> 0 closed form", aqctx)
+    add("m3rising-aq", "m3rising-aq-a0", "a -> 0; multiply by q^(3n)/[3]", qinv,
+        lambda P, prm, n: P.qpow(3 * n) / P.qn_den(3))
+    add("m3rising-aq", "m3rising-aq-a1", "a = 1; multiply by q^(3n)/[3]", aq_at(one),
+        lambda P, prm, n: P.qpow(3 * n) / P.qn_den(3))
+    add("m3rising-aq", "m3rising-aq-aq", "a = q; multiply by [2]^3 q^(3n)/[3]", aq_at(q_),
+        lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(3)) * P.qpow(3 * n))
     add("m3rising-aq", "m3rising-q2-aq",
         "q -> q^2 then a = q; multiply by [2]^3 [3]^3 q^(6n)/[6]",
-        _edge(_m3rising_lhs, _m3rising_rhs,
-              lambda prm, cfg, pol, exact: AQCtx(prm["q"], prm["q"] ** 2, cfg, pol),
-              lambda P, prm, n: ((P.qn(2) * P.qn(3)) * (P.qn(2) * P.qn(3))
-                                 * (P.qn(2) * P.qn(3)) / P.qn_den(6))
-              * P.qpow(6 * n)))
+        lambda prm, cfg, pol, exact: AQCtx(prm["q"], prm["q"] ** 2, pol),
+        lambda P, prm, n: ((P.qn(2) * P.qn(3)) * (P.qn(2) * P.qn(3))
+                           * (P.qn(2) * P.qn(3)) / P.qn_den(6)) * P.qpow(6 * n))
     add("m3rising-aq", "m3rising-q2-a1q",
         "q -> q^2 then a = 1/q; multiply by [2]^3 q^(6n)/[6]",
-        _edge(_m3rising_lhs, _m3rising_rhs,
-              lambda prm, cfg, pol, exact: AQCtx(1.0 / prm["q"], prm["q"] ** 2, cfg, pol),
-              lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(6))
-              * P.qpow(6 * n)))
+        lambda prm, cfg, pol, exact: AQCtx(1.0 / prm["q"], prm["q"] ** 2, pol),
+        lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(6)) * P.qpow(6 * n))
 
     # main identity chain
     add("bigid", "bigid-hyper", "q -> 1 classical limit: [z] -> z, W -> 1",
-        _edge(_bigid_lhs, _bigid_rhs, lambda prm, cfg, pol, exact: ClassicalCtx()))
-    add("bigid", "spc-1", "p -> 0 then b -> 0 closed form",
-        _edge(_bigid_lhs, _bigid_rhs, aqctx))
-    add("spc-1", "spc-2", "a -> 0: products collapse into explicit q-powers",
-        _edge(_bigid_lhs, _bigid_rhs, qinv))
+        lambda prm, cfg, pol, exact: ClassicalCtx())
+    add("bigid", "spc-1", "p -> 0 then b -> 0 closed form", aqctx)
+    add("spc-1", "spc-2", "a -> 0: products collapse into explicit q-powers", qinv)
     add("spc-2", "spc-4i", "c = d = g = 1, h = 0, index shift; scale q^(n-1)",
-        _edge(_spc2_lhs, _spc2_rhs, _qprov, lambda P, prm, n: P.qpow(n - 1),
-              n_map=lambda n: n - 1,
-              prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 0}),
-        min_n=1, exact_ok=True)
+        scale=lambda P, prm, n: P.qpow(n - 1), n_map=lambda n: n - 1,
+        prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 0}, min_n=1, exact_ok=True)
     add("spc-2", "spc-4ii", "c = d = g = h = 1, index shift; scale q^(n^2+n-2)",
-        _edge(_spc2_lhs, _spc2_rhs, _qprov, lambda P, prm, n: P.qpow(n * n + n - 2),
-              n_map=lambda n: n - 1,
-              prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 1}),
-        min_n=1, exact_ok=True)
+        scale=lambda P, prm, n: P.qpow(n * n + n - 2), n_map=lambda n: n - 1,
+        prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 1}, min_n=1, exact_ok=True)
 
     def _cubes_sides(prm, n, cfg, pol, exact):
         # cleared polynomial form of the hypergeometric identity at
@@ -1409,30 +1315,23 @@ def _build_edges() -> dict:
         return lhs, rhs
 
     add("bigid-hyper", "sum-cubes", "clear cd(ch+dg)/2, then c = d = 0, g = h = 1",
-        _cubes_sides)
+        sides=_cubes_sides)
 
     # indefinite-summation chain
     add("e-indef-1", "indef-1", "p = 0 makes every theta factor literal",
-        _edge(_eindef1_lhs, _eindef1_rhs, raw,
-              prm_map=lambda prm: {"a": prm["a"], "b": prm["b"], "c": 1.0,
-                                   "q": prm["q"], "p": 0.0}))
+        prm_map=lambda prm: {"a": prm["a"], "b": prm["b"], "c": 1.0,
+                             "q": prm["q"], "p": 0.0})
     add("e-indef-1", "warnaar-cubes-elliptic", "a = b = q^2, index shift",
-        _edge(_eindef1_lhs, _eindef1_rhs, raw, n_map=lambda n: n - 1,
-              prm_map=lambda prm: {"a": prm["q"] ** 2, "b": prm["q"] ** 2,
-                                   "c": prm["c"], "q": prm["q"], "p": prm["p"]}),
-        min_n=1)
+        n_map=lambda n: n - 1,
+        prm_map=lambda prm: {"a": prm["q"] ** 2, "b": prm["q"] ** 2,
+                             "c": prm["c"], "q": prm["q"], "p": prm["p"]}, min_n=1)
     add("warnaar-cubes-elliptic", "warnaar-cubes", "p = 0",
-        _edge(_wce_lhs, _wce_rhs, raw,
-              prm_map=lambda prm: {"c": 1.0, "q": prm["q"], "p": 0.0}),
-        min_n=1)
+        prm_map=lambda prm: {"c": 1.0, "q": prm["q"], "p": 0.0}, min_n=1)
     add("indef-1", "qodds", "a = b = q, then n -> n - 1; scale q^(1-n)",
-        _edge(_indef1_lhs, _indef1_rhs, raw, lambda P, prm, n: P.qpow(1 - n),
-              n_map=lambda n: n - 1,
-              prm_map=lambda prm: {"a": prm["q"], "b": prm["q"], "q": prm["q"]}),
-        min_n=1)
+        scale=lambda P, prm, n: P.qpow(1 - n), n_map=lambda n: n - 1,
+        prm_map=lambda prm: {"a": prm["q"], "b": prm["q"], "q": prm["q"]}, min_n=1)
     add("cubic-odds", "qodds", "a = 0 empties the cubic-base factorials",
-        _edge(_cubicodds_lhs, _cubicodds_rhs, raw,
-              prm_map=lambda prm: {"a": 0.0, "q": prm["q"]}))
+        prm_map=lambda prm: {"a": 0.0, "q": prm["q"]})
 
     return {(e.parent, e.child): e for e in E}
 

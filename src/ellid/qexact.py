@@ -1,7 +1,7 @@
 """Exact Laurent-polynomial arithmetic in q over arbitrary-precision rationals.
 
-This is the exact oracle for every identity whose terms reduce to integer
-powers of q.  LaurentPoly stores a sparse map exponent -> Fraction (no zero
+This is the arithmetic of the exact oracle (`identities.eval_exact`) for
+every identity whose terms reduce to integer powers of q.  LaurentPoly stores a sparse map exponent -> Fraction (no zero
 coefficients; the zero polynomial is the empty map).  RationalFn is an
 unreduced quotient of two Laurent polynomials compared by cross
 multiplication, which keeps equality exact without polynomial gcd.
@@ -275,13 +275,3 @@ class ExactQ:
     def one(self) -> RationalFn:
         return RationalFn.one()
 
-
-def eval_exact(ident, n: int, int_params: dict | None = None) -> tuple[RationalFn, RationalFn]:
-    """Evaluate both sides of an exact-q-capable identity as RationalFn.
-
-    `ident` is an identity id or descriptor from the catalog.  The caller
-    asserts cross-multiplied equality of the returned pair.
-    """
-    from .identities import eval_exact_pair
-
-    return eval_exact_pair(ident, n, int_params)

@@ -78,6 +78,17 @@ class GeometricGrid:
             raise ValueError("factorial base must be nonzero")
 
 
+def truncation_terms(aa: float, pa: float, tail_tol: float) -> int:
+    """Smallest J >= 1 with (aa + 1/aa + 2) pa^J / (1 - pa) < tail_tol.
+
+    aa is the reduced argument's modulus |a| in (|p|, 1] and pa = |p| > 0.
+    """
+    bound = (aa + 1.0 / aa + 2.0) / (1.0 - pa)
+    if bound <= tail_tol:
+        return 1
+    return max(1, math.ceil(math.log(bound / tail_tol) / -math.log(pa)))
+
+
 def theta_scaled(a, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[ScaledComplex, float]:
     """theta(a; p) in scaled form, plus the smallest |factor| encountered.
 
@@ -105,18 +116,11 @@ def theta_scaled(a, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[Scal
         pref = None
         an = a.to_complex()
 
-    # smallest J with (|a| + 1/|a| + 2) |p|^J / (1 - |p|) < tail_tol
-    aa = abs(an)
-    pa = abs(p)
-    bound = (aa + 1.0 / aa + 2.0) / (1.0 - pa)
-    if bound <= cfg.tail_tol:
-        terms = 1
-    else:
-        terms = max(1, math.ceil(math.log(bound / cfg.tail_tol) / -math.log(pa)))
+    terms = truncation_terms(abs(an), abs(p), cfg.tail_tol)
     if terms > cfg.max_terms:
         raise TruncationNotConverged(
-            f"tail bound {bound:.3g} * {pa:.3g}^J needs J = {terms} > max_terms = {cfg.max_terms}"
-        )
+            f"theta at |a| = {abs(an):.3g}, |p| = {abs(p):.3g} needs J = {terms} "
+            f"> max_terms = {cfg.max_terms}")
 
     inv = p / an
     prod = 1.0 + 0j

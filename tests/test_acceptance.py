@@ -9,7 +9,7 @@ import time
 from ellid.elliptic import make_context, _quad_rel_terms
 from ellid._scaled import cpow, sc
 from ellid.harness import SampleConfig, run_suite, sample_edge_params
-from ellid.identities import (catalog, edges, eval_exact_pair, get_identity,
+from ellid.identities import (catalog, edges, eval_exact, get_identity,
                               reduce_chain_check)
 from ellid.telescope import builder, telescope_both_sides
 from ellid.theta import Nome, theta, theta_prod
@@ -36,7 +36,7 @@ def test_criterion_1_exact_q_suite():
     checks = 0
     for ident in EXACT_SUITE_IDS:
         for n in range(0, 26):
-            lhs, rhs = eval_exact_pair(ident, n)
+            lhs, rhs = eval_exact(ident, n)
             assert lhs == rhs, (ident, n)
             checks += 1
     for c in range(0, 4):
@@ -46,7 +46,7 @@ def test_criterion_1_exact_q_suite():
                     if c * d == 0 or c * h + d * g == 0:
                         continue  # outside the identity's exact domain
                     for n in range(0, 26):
-                        lhs, rhs = eval_exact_pair(
+                        lhs, rhs = eval_exact(
                             "spc-2", n, {"c": c, "d": d, "g": g, "h": h})
                         assert lhs == rhs, ("spc-2", c, d, g, h, n)
                         checks += 1

@@ -149,3 +149,15 @@ def test_n_below_range_exits_2_before_any_draw(monkeypatch, capsys):
     assert "error: geo needs n >= 0" in capsys.readouterr().err
     assert main(["sweep", "--n-max", "-1"]) == 2
     assert "error: n_max must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--id", "tel-c", "--n", "3", "--trials", "2"],
+                                     ["sweep"]])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "1e300", "inf"])
+def test_bad_tol_exits_2_before_any_draw(command, tol, monkeypatch, capsys):
+    def no_draws(*args, **kw):
+        raise AssertionError("a check was drawn")
+
+    monkeypatch.setattr(ellid.harness, "_first_admissible", no_draws)
+    assert main([*command, "--tol", tol]) == 2
+    assert capsys.readouterr().err.startswith("error: tol must lie in (0, 1)")

@@ -137,6 +137,30 @@ def test_config_validation():
             SampleConfig(seed=0, trials=1, max_resamples=bad)
 
 
+def test_run_suite_rejects_bad_config_before_any_draw(monkeypatch):
+    def no_draws(*args, **kw):
+        raise AssertionError("a check was drawn")
+
+    monkeypatch.setattr(ellid.harness, "_first_admissible", no_draws)
+    cfg = SampleConfig(seed=1, trials=3)
+    for tol in (-1.0, 0.0, float("nan"), 1e300, float("inf")):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            run_suite(["basic-g"], 3, cfg, tol=tol)
+    # the tail rule needs 341 theta terms at |p| = 0.9 and 50 at |p| = 0.5
+    with pytest.raises(ValueError, match="needs theta max_terms >= 341, got 64"):
+        run_suite(["basic-g"], 3, SampleConfig(seed=1, trials=3, p_radius=0.9))
+    with pytest.raises(ValueError, match="needs theta max_terms >= 50, got 8"):
+        run_suite(["basic-g"], 3, cfg, theta_cfg=ThetaConfig(max_terms=8))
+
+
+def test_run_suite_default_theta_terms_suffice():
+    rep = run_suite(["basic-g"], 3, SampleConfig(seed=1, trials=3))
+    assert rep.all_passed and len(rep.results) == 12
+    rep = run_suite(["basic-g"], 3, SampleConfig(seed=1, trials=3, p_radius=0.9),
+                    theta_cfg=ThetaConfig(max_terms=341))
+    assert rep.all_passed
+
+
 def test_n_below_range_rejected_before_any_draw(monkeypatch):
     def no_draws(*args, **kw):
         raise AssertionError("a check was drawn")

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellid.errors import NonIntegerExponent, OutOfRange
-from ellid.qexact import (ExactQ, LaurentPoly, RationalFn, eval_exact,
-                          q_binomial, q_number)
+from ellid.identities import eval_exact
+from ellid.qexact import ExactQ, LaurentPoly, RationalFn, q_binomial, q_number
 
 
 def poly_from(d):
