@@ -4,7 +4,7 @@
     ellid verify --id ID --n N [--trials T] [--seed S] [--tol X]
                  [--theta-terms K] [--mode auto|exact|numeric]
                  [--param name=re,im ...] [--json PATH]
-    ellid sweep --suite all --n-max N --trials T --seed S [--json PATH]
+    ellid sweep --n-max N --trials T --seed S [--json PATH]
 
 Exit status: 0 if every check passed, 1 on any verification failure,
 2 on a configuration error.  ELLID_SEED overrides the default seed.
@@ -51,13 +51,18 @@ def _pinned_params(desc, fixed: dict, mode: str) -> dict:
     """Pinned values checked against the identity's signature.
 
     Exact mode pins every parameter but q, as integers; in numeric mode the
-    integer-kind parameters (m) must be integers too.
+    integer-kind parameters (m) must be integers too.  A pinned nome p needs
+    |p| < 1 and a pinned base q must be nonzero.
     """
     kinds = dict(desc.param_signature)
     unknown = [name for name in fixed if name not in kinds]
     if unknown:
         raise ValueError(f"{desc.id} has no parameter {', '.join(unknown)} "
                          f"(its parameters: {' '.join(kinds) or 'none'})")
+    if "p" in fixed and not abs(fixed["p"]) < 1:
+        raise ValueError(f"the nome needs |p| < 1, got p={fixed['p']}")
+    if fixed.get("q") == 0:
+        raise ValueError("the base q must be nonzero")
     exact = mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL)
     if exact:
         if "q" in fixed:
@@ -101,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", dest="json_path", default=None)
 
     s = sub.add_parser("sweep", help="verify the whole catalog")
-    s.add_argument("--suite", choices=["all"], default="all")
     s.add_argument("--n-max", type=int, default=6)
     s.add_argument("--trials", type=int, default=10)
     s.add_argument("--seed", type=int, default=None)
@@ -137,8 +141,7 @@ def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     records = []
     if mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL):
-        res = evaluate(desc, fixed, args.n, mode, theta_cfg,
-                       args.tol, cfg.pole_tol)
+        res = evaluate(desc, fixed, args.n, mode, theta_cfg, args.tol)
         records.append(result_record(res))
     else:
         for trial in range(args.trials):

@@ -23,15 +23,13 @@ tiny or huge parameter values:
           [z] = (1-q^z)(1-b q^2) / ((1-q)(1-b q^(z+1))),      W(k) = (1-bq)(1-bq^2)/((1-bq^(k+1))(1-bq^(k+2))) * q^k;
     q   : both limits, [z]_q = (1-q^z)/(1-q) and W(k) = q^k.
 
-Parameter shifts a -> a q^(2x), b -> b q^x are tracked symbolically in an
-accumulator, so shift(x).shift(y) == shift(x + y) exactly; powers of q are
-materialized only at evaluation time through the single principal-branch
-power convention of cpow.
+A parameter shift a -> a q^(2s), b -> b q^s is the s argument of num and
+wt; the power q^s is materialized at evaluation time through the single
+principal-branch power convention of cpow.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from ._scaled import ONE, ScaledComplex, cpow, sc
@@ -61,18 +59,12 @@ Q = Specialization("q")
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """The parameter quadruple (a, b, q, p) plus an accumulated shift.
-
-    sigma is the symbolic shift accumulator: the effective parameters are
-    a * q**(2 sigma) and b * q**sigma.  Keeping sigma separate makes shift
-    composition exact: shift(x).shift(y) == shift(x + y).
-    """
+    """The parameter quadruple (a, b, q, p)."""
 
     a: complex
     b: complex
     q: complex
     p: complex
-    sigma: complex = 0
 
     def __post_init__(self):
         if not abs(self.p) < 1:
@@ -81,10 +73,6 @@ class EllipticParams:
             raise ValueError("q must be nonzero")
         if self.p != 0 and (self.a == 0 or self.b == 0):
             raise ValueError("a and b must be nonzero when p != 0")
-
-    def shift(self, x) -> "EllipticParams":
-        """Parameters with a -> a q^(2x), b -> b q^x."""
-        return dataclasses.replace(self, sigma=self.sigma + x)
 
 
 class FullEllipticCtx:
@@ -98,15 +86,13 @@ class FullEllipticCtx:
 
     tag = "full-elliptic"
 
-    def __init__(self, a, b, q, p, sigma=0, cfg: ThetaConfig = DEFAULT_CONFIG,
-                 pole_tol: float = POLE_TOL, logq: complex | None = None):
+    def __init__(self, a, b, q, p, cfg: ThetaConfig = DEFAULT_CONFIG,
+                 logq: complex | None = None):
         self.a = complex(a)
         self.b = complex(b)
         self.q = complex(q)
         self.p = complex(p)
-        self.sigma = sigma
         self.cfg = cfg
-        self.pole_tol = pole_tol
         self._logq = logq
 
     def qpow(self, z) -> ScaledComplex:
@@ -125,15 +111,15 @@ class FullEllipticCtx:
         bot = ONE
         for x in dens:
             val, mf = theta_scaled(x, self.p, self.cfg)
-            if mf < self.pole_tol:
+            if mf < POLE_TOL:
                 raise PoleProximity(
-                    f"denominator theta factor within {self.pole_tol:g} of zero "
+                    f"denominator theta factor within {POLE_TOL:g} of zero "
                     f"(min |factor| = {mf:.3g})")
             bot = bot * val
         return top / bot
 
     def _shifted_ab(self, s):
-        qs = self.qpow(self.sigma + s)
+        qs = self.qpow(s)
         return sc(self.a) * qs * qs, sc(self.b) * qs
 
     def num_from_power(self, qz: ScaledComplex, s=0) -> ScaledComplex:
@@ -163,19 +149,16 @@ class FullEllipticCtx:
 class _ClosedFormCtx:
     """Shared plumbing for the p = 0 closed forms."""
 
-    def __init__(self, q, pole_tol: float = POLE_TOL, sigma=0):
+    def __init__(self, q):
         self.q = complex(q)
-        self.sigma = sigma
-        self.pole_tol = pole_tol
 
     def _f(self, x) -> ScaledComplex:
         return ONE - x
 
     def _fd(self, x) -> ScaledComplex:
         out = ONE - x
-        if abs(out) < self.pole_tol:
-            raise PoleProximity(
-                f"denominator factor 1 - x within {self.pole_tol:g} of zero")
+        if abs(out) < POLE_TOL:
+            raise PoleProximity(f"denominator factor 1 - x within {POLE_TOL:g} of zero")
         return out
 
     def qpow(self, e) -> ScaledComplex:
@@ -187,13 +170,13 @@ class ABQCtx(_ClosedFormCtx):
 
     tag = "abq"
 
-    def __init__(self, a, b, q, pole_tol=POLE_TOL, sigma=0):
-        super().__init__(q, pole_tol, sigma)
+    def __init__(self, a, b, q):
+        super().__init__(q)
         self.a = complex(a)
         self.b = complex(b)
 
     def _shifted_ab(self, s):
-        qs = self.qpow(self.sigma + s)
+        qs = self.qpow(s)
         return sc(self.a) * qs * qs, sc(self.b) * qs
 
     def num(self, z, s=0) -> ScaledComplex:
@@ -220,12 +203,12 @@ class AQCtx(_ClosedFormCtx):
 
     tag = "aq"
 
-    def __init__(self, a, q, pole_tol=POLE_TOL, sigma=0):
-        super().__init__(q, pole_tol, sigma)
+    def __init__(self, a, q):
+        super().__init__(q)
         self.a = complex(a)
 
     def _shifted_a(self, s):
-        qs = self.qpow(self.sigma + s)
+        qs = self.qpow(s)
         return sc(self.a) * qs * qs
 
     def num(self, z, s=0) -> ScaledComplex:
@@ -247,12 +230,12 @@ class BQCtx(_ClosedFormCtx):
 
     tag = "bq"
 
-    def __init__(self, b, q, pole_tol=POLE_TOL, sigma=0):
-        super().__init__(q, pole_tol, sigma)
+    def __init__(self, b, q):
+        super().__init__(q)
         self.b = complex(b)
 
     def _shifted_b(self, s):
-        return sc(self.b) * self.qpow(self.sigma + s)
+        return sc(self.b) * self.qpow(s)
 
     def num(self, z, s=0) -> ScaledComplex:
         b_ = self._shifted_b(s)
@@ -304,7 +287,6 @@ class ClassicalCtx:
     """q -> 1 degeneration: [z] = z and W = 1 (for the hypergeometric forms)."""
 
     tag = "classical"
-    pole_tol = POLE_TOL
 
     def num(self, z, s=0) -> ScaledComplex:
         return sc(z)
@@ -314,20 +296,19 @@ class ClassicalCtx:
 
 
 def make_context(params: EllipticParams, spec: Specialization = FULL_ELLIPTIC,
-                 cfg: ThetaConfig = DEFAULT_CONFIG, pole_tol: float = POLE_TOL):
+                 cfg: ThetaConfig = DEFAULT_CONFIG):
     """Build the evaluation context matching a specialization tag."""
     tag = spec.tag if isinstance(spec, Specialization) else str(spec)
     if tag == "full-elliptic":
-        return FullEllipticCtx(params.a, params.b, params.q, params.p,
-                               params.sigma, cfg, pole_tol)
+        return FullEllipticCtx(params.a, params.b, params.q, params.p, cfg)
     if tag == "abq":
-        return ABQCtx(params.a, params.b, params.q, pole_tol, params.sigma)
+        return ABQCtx(params.a, params.b, params.q)
     if tag == "aq":
-        return AQCtx(params.a, params.q, pole_tol, params.sigma)
+        return AQCtx(params.a, params.q)
     if tag == "bq":
-        return BQCtx(params.b, params.q, pole_tol, params.sigma)
+        return BQCtx(params.b, params.q)
     if tag == "q":
-        return QCtx(params.q, pole_tol, params.sigma)
+        return QCtx(params.q)
     raise ValueError(f"unknown specialization tag {tag!r}")
 
 

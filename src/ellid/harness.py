@@ -55,7 +55,6 @@ class SampleConfig:
     q_annulus: tuple = (0.3, 0.9)
     box: tuple = (-1.0, 1.0)
     box_exclusion: float = 0.05
-    pole_tol: float = POLE_TOL
     max_resamples: int = 1000
 
     def __post_init__(self):
@@ -70,7 +69,7 @@ class SampleConfig:
         return {"seed": self.seed, "trials": self.trials,
                 "p_radius": self.p_radius, "q_annulus": list(self.q_annulus),
                 "box": list(self.box), "box_exclusion": self.box_exclusion,
-                "pole_tol": self.pole_tol, "max_resamples": self.max_resamples}
+                "pole_tol": POLE_TOL, "max_resamples": self.max_resamples}
 
 
 class _CounterRng:
@@ -170,8 +169,7 @@ def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int,
     rng = _CounterRng(cfg.seed, desc.id, n, trial_index)
     return _first_admissible(
         rng, desc.param_signature, cfg, desc.id, fixed,
-        lambda prm: evaluate(desc, prm, n, MODE_NUMERIC, theta_cfg, tol,
-                             cfg.pole_tol, trial_index),
+        lambda prm: evaluate(desc, prm, n, MODE_NUMERIC, theta_cfg, tol, trial_index),
         f"{desc.id} (n={n}, trial={trial_index})")
 
 
@@ -214,9 +212,8 @@ def _sampled_edge_check(parent_id: str, child_id: str, cfg: SampleConfig,
     rng = _CounterRng(cfg.seed, f"{parent_id}->{child_id}", n, trial_index)
     return _first_admissible(
         rng, _edge_signature(edge), cfg, child_id, None,
-        lambda prm: reduce_chain_check(parent_id, child_id, prm, n,
-                                       cfg=theta_cfg, tol=EDGE_TOL,
-                                       pole_tol=cfg.pole_tol, trial=trial_index),
+        lambda prm: reduce_chain_check(parent_id, child_id, prm, n, cfg=theta_cfg,
+                                       tol=EDGE_TOL, trial=trial_index),
         f"edge {parent_id}->{child_id} (n={n}, trial={trial_index})")
 
 
@@ -382,7 +379,7 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
                 prm = _exact_sidecar_params(desc, cfg, n)
                 if prm is None:
                     raise ResamplingExhausted(f"no admissible exact parameters for {ident}")
-                res = evaluate(ident, prm, n, mode, theta_cfg, tol, cfg.pole_tol)
+                res = evaluate(ident, prm, n, mode, theta_cfg, tol)
             else:
                 parent, child = ident.split("->")
                 res = _sampled_edge_check(parent, child, cfg, trial, n, theta_cfg)

@@ -33,8 +33,8 @@ from operator import mul
 from typing import Callable, Optional
 
 from ._scaled import ONE, ZERO, ScaledComplex, cpow, sc
-from .elliptic import (AQCtx, BQCtx, ClassicalCtx, EllipticParams,
-                       FullEllipticCtx, QCtx, QInvCtx, make_context)
+from .elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx,
+                       QCtx, QInvCtx)
 from .errors import (DegenerateDenominator, DivisionByZeroFactor, DomainRejected,
                      ModeUnsupported, PoleProximity, UnknownEdge, UnknownIdentity)
 from .qexact import ExactQ, RationalFn
@@ -50,15 +50,14 @@ MODE_EXACT_RATIONAL = "exact-rational"
 # ---------------------------------------------------------------------------
 
 class NumericQ:
-    """q-numbers, q-powers and constants over ScaledComplex values."""
+    """q-numbers, q-powers, zero and one over ScaledComplex values."""
 
     exact = False
 
-    def __init__(self, q: complex, pole_tol: float = POLE_TOL):
+    def __init__(self, q: complex):
         self.q = complex(q)
-        self.pole_tol = pole_tol
         den = ONE - sc(self.q)
-        if abs(den) < pole_tol:
+        if abs(den) < POLE_TOL:
             raise DomainRejected("1 - q within pole tolerance of zero")
         self._den = den
 
@@ -67,15 +66,12 @@ class NumericQ:
 
     def qn_den(self, z) -> ScaledComplex:
         num = ONE - cpow(self.q, z)
-        if abs(num) < self.pole_tol:
+        if abs(num) < POLE_TOL:
             raise DomainRejected(f"1 - q^({z}) within pole tolerance of zero")
         return num / self._den
 
     def qpow(self, e) -> ScaledComplex:
         return cpow(self.q, e)
-
-    def const(self, c) -> ScaledComplex:
-        return sc(complex(c))
 
     def zero(self) -> ScaledComplex:
         return ZERO
@@ -438,9 +434,9 @@ def _spc2_rhs(P, prm, n):
 # elliptic-context identities
 # ---------------------------------------------------------------------------
 
-def _ctx_den(x: ScaledComplex, ctx) -> ScaledComplex:
+def _ctx_den(x: ScaledComplex) -> ScaledComplex:
     """Guard a context value that the identity divides by."""
-    if abs(x) < ctx.pole_tol:
+    if abs(x) < POLE_TOL:
         raise DomainRejected("identity denominator within pole tolerance of zero")
     return x
 
@@ -515,7 +511,7 @@ def _telb_lhs(ctx, prm, n):
     for k in range(1, n + 1):
         den = ONE
         for i in range(0, m + 1):
-            den = den * _ctx_den(ctx.num(k + i), ctx)
+            den = den * _ctx_den(ctx.num(k + i))
         tot = tot + ctx.wt(k) * ctx.num(m, s=k) / den
     return tot.value(ZERO)
 
@@ -524,16 +520,16 @@ def _telb_rhs(ctx, prm, n):
     m = prm["m"]
     fact = ONE
     for j in range(1, m + 1):
-        fact = fact * _ctx_den(ctx.num(j), ctx)
+        fact = fact * _ctx_den(ctx.num(j))
     tail = ONE
     for i in range(1, m + 1):
-        tail = tail * _ctx_den(ctx.num(n + i), ctx)
+        tail = tail * _ctx_den(ctx.num(n + i))
     return _guard_diff(ONE / fact, ONE / tail)
 
 
 def _bigid_lhs(ctx, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
-    den = _ctx_den(ctx.num(2 * c * d) * ctx.num(c * h + d * g, s=(c - g) * d), ctx)
+    den = _ctx_den(ctx.num(2 * c * d) * ctx.num(c * h + d * g, s=(c - g) * d))
     ratio = ONE
     winv = ONE
     tot = _Sum()
@@ -542,10 +538,10 @@ def _bigid_lhs(ctx, prm, n):
             j = k - 1
             zj = (g * j + g + c) * (h * j + d)
             ratio = (ratio * ctx.num(zj, s=(g * j - g + c) * (h * j + d))
-                     / _ctx_den(ctx.num(zj, s=(g * j + g + c) * (h * j + 2 * h + d)), ctx))
+                     / _ctx_den(ctx.num(zj, s=(g * j + g + c) * (h * j + 2 * h + d))))
             winv = winv / _ctx_den(
                 ctx.wt(2 * g * h * j + 2 * g * h + c * h + d * g,
-                       s=(g * j + c) * (h * j + h + d)), ctx)
+                       s=(g * j + c) * (h * j + h + d)))
         t = (ctx.num(2 * (g * k + c) * (h * k + d))
              * ctx.num(2 * g * h * k + c * h + d * g, s=(g * k - g + c) * (h * k + d)))
         tot = tot + (t / den) * ratio * winv
@@ -554,16 +550,16 @@ def _bigid_lhs(ctx, prm, n):
 
 def _bigid_rhs(ctx, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
-    den = _ctx_den(ctx.num(2 * c * d) * ctx.num(c * h + d * g, s=(c - g) * d), ctx)
+    den = _ctx_den(ctx.num(2 * c * d) * ctx.num(c * h + d * g, s=(c - g) * d))
     first = (ctx.num((g * n + c) * (h * n + h + d))
              * ctx.num((g + c) * d, s=(c - g) * d)) / den
     for j in range(1, n + 1):
         first = (first
                  * ctx.num((g * j + g + c) * (h * j + d), s=(g * j - g + c) * (h * j + d))
                  / _ctx_den(ctx.num((g * j + c) * (h * j - h + d),
-                                    s=(g * j + c) * (h * j + h + d)), ctx)
+                                    s=(g * j + c) * (h * j + h + d)))
                  / _ctx_den(ctx.wt(2 * g * h * j + c * h + d * g,
-                                   s=(g * j - g + c) * (h * j + d)), ctx))
+                                   s=(g * j - g + c) * (h * j + d))))
     second = (ctx.num((c - g) * d) * ctx.num(c * (d - h), s=c * (h + d))
               * ctx.wt(c * h + d * g, s=(c - g) * d)) / den
     return _guard_diff(first, second)
@@ -573,49 +569,37 @@ def _bigid_rhs(ctx, prm, n):
 # theta-factorial identities (indefinite summations over running slots)
 # ---------------------------------------------------------------------------
 
-class _RawEnv:
-    """Evaluation environment for the factorial-slot identities."""
-
-    __slots__ = ("cfg", "pole_tol")
-
-    def __init__(self, cfg: ThetaConfig, pole_tol: float):
-        self.cfg = cfg
-        self.pole_tol = pole_tol
-
-
 class _Slot:
     """Running shifted factorial (x; base, p)_k, advanced one index at a time."""
 
-    __slots__ = ("arg", "base", "p", "cfg", "val", "guard", "tol")
+    __slots__ = ("arg", "base", "p", "cfg", "val", "guard")
 
-    def __init__(self, env: _RawEnv, x, base, p, guard: bool = False):
+    def __init__(self, cfg: ThetaConfig, x, base, p, guard: bool = False):
         self.arg = sc(x)
         self.base = base
         self.p = complex(p)
-        self.cfg = env.cfg
+        self.cfg = cfg
         self.val = ONE
         self.guard = guard
-        self.tol = env.pole_tol
 
     def step(self):
         v, mf = theta_scaled(self.arg, self.p, self.cfg)
-        if self.guard and mf < self.tol:
+        if self.guard and mf < POLE_TOL:
             raise PoleProximity("denominator factorial factor within pole tolerance")
         self.val = self.val * v
         self.arg = self.arg * self.base
 
 
-def _fact(env: _RawEnv, x, base, p, k: int, guard: bool = False) -> ScaledComplex:
-    val, mf = factorial_scaled(x, base, p, k, env.cfg,
-                               env.pole_tol if guard else None)
-    if guard and mf < env.pole_tol:
+def _fact(cfg: ThetaConfig, x, base, p, k: int, guard: bool = False) -> ScaledComplex:
+    val, mf = factorial_scaled(x, base, p, k, cfg)
+    if guard and mf < POLE_TOL:
         raise PoleProximity("denominator factorial factor within pole tolerance")
     return val
 
 
-def _theta_den(env: _RawEnv, x, p) -> ScaledComplex:
-    val, mf = theta_scaled(x, p, env.cfg)
-    if mf < env.pole_tol:
+def _theta_den(cfg: ThetaConfig, x, p) -> ScaledComplex:
+    val, mf = theta_scaled(x, p, cfg)
+    if mf < POLE_TOL:
         raise PoleProximity("denominator theta within pole tolerance of zero")
     return val
 
@@ -635,7 +619,7 @@ def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
     xs = [sc(x) for x, _ in tops]
     tot = _Sum()
     for k in ks:
-        term = reduce(mul, [theta_scaled(x, p, env.cfg)[0] for x in xs]) / den0
+        term = reduce(mul, [theta_scaled(x, p, env)[0] for x in xs]) / den0
         term = reduce(mul, [s.val for s in num], term)
         tot.add(term / reduce(mul, [s.val for s in den]) * weight(k))
         for s in slots.values():
@@ -730,7 +714,7 @@ def _cubicodds_lhs(env, prm, n):
     q3 = q * q * q
     one_minus_q = ONE - sc(q)
     one_minus_aq = ONE - sc(a * q)
-    if abs(one_minus_q) < env.pole_tol or abs(one_minus_aq) < env.pole_tol:
+    if abs(one_minus_q) < POLE_TOL or abs(one_minus_aq) < POLE_TOL:
         raise DomainRejected("1 - q or 1 - aq within pole tolerance")
     num3 = _Slot(env, a * q, q3, 0)
     den3 = _Slot(env, a * q**5, q3, 0, guard=True)
@@ -753,7 +737,7 @@ def _cubicodds_rhs(env, prm, n):
     q3 = q * q * q
     one_minus_q = ONE - sc(q)
     one_minus_aq = ONE - sc(a * q)
-    if abs(one_minus_q) < env.pole_tol or abs(one_minus_aq) < env.pole_tol:
+    if abs(one_minus_q) < POLE_TOL or abs(one_minus_aq) < POLE_TOL:
         raise DomainRejected("1 - q or 1 - aq within pole tolerance")
     qn_ = (ONE - cpow(q, n)) / one_minus_q
     return (qn_ * qn_ * (ONE - sc(a) * cpow(q, n)) / one_minus_aq
@@ -766,7 +750,7 @@ def _m00_lhs(env, prm, n):
     a, b, c, d = prm["a"], prm["b"], prm["c"], prm["d"]
     q, r, s, p = prm["q"], prm["r"], prm["s"], prm["p"]
     w = r * s / q
-    if abs(sc(d)) < env.pole_tol:
+    if abs(sc(d)) < POLE_TOL:
         raise DomainRejected("d within pole tolerance of zero")
     den0 = (_theta_den(env, a * d, p) * _theta_den(env, b / d, p)
             * _theta_den(env, c / d, p))
@@ -782,14 +766,14 @@ def _m00_rhs(env, prm, n):
     a, b, c, d = prm["a"], prm["b"], prm["c"], prm["d"]
     q, r, s, p = prm["q"], prm["r"], prm["s"], prm["p"]
     w = r * s / q
-    if abs(sc(d)) < env.pole_tol:
+    if abs(sc(d)) < POLE_TOL:
         raise DomainRejected("d within pole tolerance of zero")
     denc = (_theta_den(env, a * d, p) * _theta_den(env, b / d, p)
             * _theta_den(env, c / d, p) * _theta_den(env, a * d / (b * c), p)) * d
-    t_a, _ = theta_scaled(a, p, env.cfg)
-    t_b, _ = theta_scaled(b, p, env.cfg)
-    t_c, _ = theta_scaled(c, p, env.cfg)
-    t_bal, _ = theta_scaled(a * d * d / (b * c), p, env.cfg)
+    t_a, _ = theta_scaled(a, p, env)
+    t_b, _ = theta_scaled(b, p, env)
+    t_c, _ = theta_scaled(c, p, env)
+    t_bal, _ = theta_scaled(a * d * d / (b * c), p, env)
     first = (t_a * t_b * t_c * t_bal / denc
              * _fact(env, a * d * d * q / (b * c), q, p, n)
              * _fact(env, b * r, r, p, n) * _fact(env, c * s, s, p, n)
@@ -798,10 +782,10 @@ def _m00_rhs(env, prm, n):
              / _fact(env, a * d * r / c, r, p, n, guard=True)
              / _fact(env, a * d * s / b, s, p, n, guard=True)
              / _fact(env, b * c * r * s / (d * q), w, p, n, guard=True))
-    t_d, _ = theta_scaled(d, p, env.cfg)
-    t_adb, _ = theta_scaled(a * d / b, p, env.cfg)
-    t_adc, _ = theta_scaled(a * d / c, p, env.cfg)
-    t_bcd, _ = theta_scaled(b * c / d, p, env.cfg)
+    t_d, _ = theta_scaled(d, p, env)
+    t_adb, _ = theta_scaled(a * d / b, p, env)
+    t_adc, _ = theta_scaled(a * d / c, p, env)
+    t_bcd, _ = theta_scaled(b * c / d, p, env)
     second = t_d * t_adb * t_adc * t_bcd / denc
     return _guard_diff(first, second)
 
@@ -810,11 +794,11 @@ def _m00_rhs(env, prm, n):
 # rational identities (hypergeometric degenerations)
 # ---------------------------------------------------------------------------
 
-def _hyper_den_guard(x, exact: bool, pole_tol: float):
+def _hyper_den_guard(x, exact: bool):
     if exact:
         if x == 0:
             raise DomainRejected("vanishing denominator in hypergeometric form")
-    elif abs(complex(x)) < pole_tol:
+    elif abs(complex(x)) < POLE_TOL:
         raise DomainRejected("denominator within pole tolerance of zero")
     return x
 
@@ -822,7 +806,7 @@ def _hyper_den_guard(x, exact: bool, pole_tol: float):
 def _hyper_lhs(env, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
     exact = isinstance(c, Fraction)
-    den = _hyper_den_guard(c * d * (c * h + d * g), exact, env.pole_tol)
+    den = _hyper_den_guard(c * d * (c * h + d * g), exact)
     tot = _Sum()
     for k in range(n + 1):
         tot = tot + (g * k + c) * (h * k + d) * (2 * g * h * k + c * h + d * g)
@@ -832,8 +816,8 @@ def _hyper_lhs(env, prm, n):
 def _hyper_rhs(env, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
     exact = isinstance(c, Fraction)
-    den1 = _hyper_den_guard(2 * c * d * (c * h + d * g), exact, env.pole_tol)
-    den2 = _hyper_den_guard(2 * (c * h + d * g), exact, env.pole_tol)
+    den1 = _hyper_den_guard(2 * c * d * (c * h + d * g), exact)
+    den2 = _hyper_den_guard(2 * (c * h + d * g), exact)
     first = (g * n + c) * (h * n + h + d) * (g * n + g + c) * (h * n + d) / den1
     second = (d - h) * (c - g) / den2
     if exact:
@@ -853,6 +837,33 @@ def _sumcubes_rhs(env, prm, n):
 # descriptors and catalog
 # ---------------------------------------------------------------------------
 
+# Each builder env(params, cfg, exact) returns what an identity's evaluators
+# run over: a q-provider, a specialization context, or the theta config.
+
+def _q_env(prm, cfg, exact):
+    return ExactQ() if exact else NumericQ(prm["q"])
+
+
+def _full_env(prm, cfg, exact):
+    return FullEllipticCtx(prm["a"], prm["b"], prm["q"], prm["p"], cfg)
+
+
+def _abq_env(prm, cfg, exact):
+    return ABQCtx(prm["a"], prm["b"], prm["q"])
+
+
+def _aq_env(prm, cfg, exact):
+    return AQCtx(prm["a"], prm["q"])
+
+
+def _bq_env(prm, cfg, exact):
+    return BQCtx(prm["b"], prm["q"])
+
+
+def _theta_env(prm, cfg, exact):
+    return cfg
+
+
 @dataclass(frozen=True)
 class IdentityDescriptor:
     """A registry entry: parameter signature, modes, independent evaluators."""
@@ -860,12 +871,11 @@ class IdentityDescriptor:
     id: str
     title: str
     source: str
-    family: str                       # "q" | "ctx" | "raw" | "rational"
+    env: Callable                     # env(params, cfg, exact): what lhs/rhs evaluate over
     param_signature: tuple            # ((name, kind), ...) kinds: complex / integer / non-negative-integer
     modes: frozenset
     lhs: Callable
     rhs: Callable
-    ctx_tag: Optional[str] = None     # specialization tag for family "ctx"
     min_n: int = 0
     exact_domain: Optional[Callable] = None   # admissibility of integer parameters
 
@@ -897,114 +907,114 @@ def _cdgh_exact_domain(prm) -> bool:
 def _build_catalog() -> dict:
     ids = []
 
-    def add(id, title, source, family, sig, modes, lhs, rhs, **kw):
-        ids.append(IdentityDescriptor(id, title, source, family, tuple(sig),
+    def add(id, title, source, env, sig, modes, lhs, rhs, **kw):
+        ids.append(IdentityDescriptor(id, title, source, env, tuple(sig),
                                       modes, lhs, rhs, **kw))
 
     # --- plain q-identities ------------------------------------------------
     add("geo", "geometric sum = [n]_q", "q-number definition",
-        "q", _SIG_Q, _NUM_EXQ, _geo_lhs, _geo_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _geo_lhs, _geo_rhs)
     add("qodds", "sum of first n odd numbers, q-analogue", "Schlosser (2004), Eq. (3.9)",
-        "q", _SIG_Q, _NUM_EXQ, _qodds_lhs, _qodds_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _qodds_lhs, _qodds_rhs)
     add("sp1", "odd-sum q-analogue from a -> infinity", "odd-number telescoping, first q-case",
-        "q", _SIG_Q, _NUM_EXQ, _sp1_lhs, _sp1_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _sp1_lhs, _sp1_rhs)
     add("sp2", "odd-sum q-analogue from a -> 0", "odd-number telescoping, second q-case",
-        "q", _SIG_Q, _NUM_EXQ, _sp2_lhs, _sp2_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _sp2_lhs, _sp2_rhs)
     add("tel-c-a1", "odd-sum specialization at a = 1", "odd-number telescoping, a = 1",
-        "q", _SIG_Q, _NUM_EXQ, _telc_a1_lhs, _telc_a1_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _telc_a1_lhs, _telc_a1_rhs)
     add("tel-c-b1", "odd-sum specialization at b = 1", "odd-number telescoping, b = 1",
-        "q", _SIG_Q, _NUM_EXQ, _telc_b1_lhs, _telc_b1_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _telc_b1_lhs, _telc_b1_rhs)
     add("tel-c-aq", "odd-sum specialization at a = q", "odd-number telescoping, a = q",
-        "q", _SIG_Q, _NUM_EXQ, _telc_aq_lhs, _telc_aq_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _telc_aq_lhs, _telc_aq_rhs)
     add("tel-c-bq", "odd-sum specialization at b = q", "odd-number telescoping, b = q",
-        "q", _SIG_Q, _NUM_EXQ, _telc_bq_lhs, _telc_bq_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _telc_bq_lhs, _telc_bq_rhs)
     add("triangular", "triangular-number q-analogue", "even-sum limit a -> infinity",
-        "q", _SIG_Q, _NUM_EXQ, _triangular_lhs, _triangular_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _triangular_lhs, _triangular_rhs)
     add("warnaar-triangular", "Warnaar's triangular-number q-analogue", "Warnaar (2004), Eq. (2)",
-        "q", _SIG_Q, _NUM_EXQ, _warnaar_triangular_lhs, _triangular_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _warnaar_triangular_lhs, _triangular_rhs)
     add("warnaar-cubes", "Warnaar's sum-of-cubes q-analogue", "Warnaar (2004), Eq. (2)",
-        "q", _SIG_Q, _NUM_EXQ, _warnaar_cubes_lhs, _warnaar_cubes_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _warnaar_cubes_lhs, _warnaar_cubes_rhs)
     add("even-b1", "even-sum specialization at b = 1", "even-sum telescoping, b = 1",
-        "q", _SIG_Q, _NUM_EXQ, _even_b1_lhs, _even_b1_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _even_b1_lhs, _even_b1_rhs)
     add("even-aqq", "even-sum specialization at a = q", "even-sum telescoping, a = q",
-        "q", _SIG_Q, _NUM_EXQ, _even_aqq_lhs, _even_aqq_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _even_aqq_lhs, _even_aqq_rhs)
     add("even-bqq", "even-sum specialization at b = q", "even-sum telescoping, b = q",
-        "q", _SIG_Q, _NUM_EXQ, _even_bqq_lhs, _even_bqq_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _even_bqq_lhs, _even_bqq_rhs)
     add("m3rising-aq-a0", "rising-product m=2 case, a -> 0", "three-rising-factorial sum, a -> 0",
-        "q", _SIG_Q, _NUM_EXQ, _m3r_a0_lhs, _m3r_a0_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _m3r_a0_lhs, _m3r_a0_rhs)
     add("m3rising-aq-a1", "rising-product m=2 case, a = 1", "three-rising-factorial sum, a = 1",
-        "q", _SIG_Q, _NUM_EXQ, _m3r_a1_lhs, _m3r_a1_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _m3r_a1_lhs, _m3r_a1_rhs)
     add("m3rising-aq-aq", "rising-product m=2 case, a = q", "three-rising-factorial sum, a = q",
-        "q", _SIG_Q, _NUM_EXQ, _m3r_aq_lhs, _m3r_aq_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _m3r_aq_lhs, _m3r_aq_rhs)
     add("m3rising-q2-aq", "rising-product case, base q^2 and a = q", "base-q^2 pair, first",
-        "q", _SIG_Q, _NUM_EXQ, _m3r_q2aq_lhs, _m3r_q2aq_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _m3r_q2aq_lhs, _m3r_q2aq_rhs)
     add("m3rising-q2-a1q", "rising-product case, base q^2 and a = 1/q", "base-q^2 pair, second",
-        "q", _SIG_Q, _NUM_EXQ, _m3r_q2a1q_lhs, _m3r_q2a1q_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _m3r_q2a1q_lhs, _m3r_q2a1q_rhs)
     add("spc-4i", "q-analogue of the sum of the first n integers", "Gaussian-binomial form",
-        "q", _SIG_Q, _NUM_EXQ, _spc4i_lhs, _spc4i_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _spc4i_lhs, _spc4i_rhs)
     add("spc-4ii", "q-analogue of the sum of the first n cubes", "Cigler (2014), Thm. 1 with q -> q^2",
-        "q", _SIG_Q, _NUM_EXQ, _spc4ii_lhs, _spc4ii_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _spc4ii_lhs, _spc4ii_rhs)
     add("spc-2", "four-parameter q-degeneration of the main identity", "main identity, q-case",
-        "q", _SIG_Q + _SIG_CDGH, _NUM_EXQ, _spc2_lhs, _spc2_rhs,
+        _q_env, _SIG_Q + _SIG_CDGH, _NUM_EXQ, _spc2_lhs, _spc2_rhs,
         exact_domain=_cdgh_exact_domain)
 
     # --- elliptic-context identities ----------------------------------------
     add("basic-g", "geometric sum of elliptic weights", "weight recurrence iterated",
-        "ctx", _SIG_FULL, _NUM, _basicg_lhs, _basicg_rhs, ctx_tag="full-elliptic")
+        _full_env, _SIG_FULL, _NUM, _basicg_lhs, _basicg_rhs)
     add("tel-c", "elliptic sum of the first n odd numbers", "odd-number telescoping, elliptic",
-        "ctx", _SIG_FULL, _NUM, _telc_lhs, _telc_rhs, ctx_tag="full-elliptic")
+        _full_env, _SIG_FULL, _NUM, _telc_lhs, _telc_rhs)
     add("tel-c-ab", "odd-number sum, a,b;q-case", "odd-number telescoping, p = 0",
-        "ctx", _SIG_ABQ, _NUM, _telc_lhs, _telc_rhs, ctx_tag="abq")
+        _abq_env, _SIG_ABQ, _NUM, _telc_lhs, _telc_rhs)
     add("tel-c-a", "odd-number sum, a;q-case", "odd-number telescoping, b -> 0",
-        "ctx", _SIG_AQ, _NUM, _telc_lhs, _telc_rhs, ctx_tag="aq")
+        _aq_env, _SIG_AQ, _NUM, _telc_lhs, _telc_rhs)
     add("tel-c-b", "odd-number sum, (b;q)-case", "odd-number telescoping, a -> 0",
-        "ctx", _SIG_BQ, _NUM, _telc_lhs, _telc_rhs, ctx_tag="bq")
+        _bq_env, _SIG_BQ, _NUM, _telc_lhs, _telc_rhs)
     add("tel-a", "elliptic sum of m-fold rising products", "rising-factorial telescoping",
-        "ctx", _SIG_FULL + (("m", _NNI),), _NUM, _tela_lhs, _tela_rhs, ctx_tag="full-elliptic")
+        _full_env, _SIG_FULL + (("m", _NNI),), _NUM, _tela_lhs, _tela_rhs)
     add("sum-even", "elliptic sum of the first n even numbers", "rising-factorial sum at m = 1",
-        "ctx", _SIG_FULL, _NUM, _sumeven_lhs, _sumeven_rhs, ctx_tag="full-elliptic")
+        _full_env, _SIG_FULL, _NUM, _sumeven_lhs, _sumeven_rhs)
     add("even-abq", "even-number sum, a,b;q-case", "even-number sum, p = 0",
-        "ctx", _SIG_ABQ, _NUM, _sumeven_lhs, _sumeven_rhs, ctx_tag="abq")
+        _abq_env, _SIG_ABQ, _NUM, _sumeven_lhs, _sumeven_rhs)
     add("even-aq", "even-number sum, a;q-case", "even-number sum, b -> 0",
-        "ctx", _SIG_AQ, _NUM, _sumeven_lhs, _sumeven_rhs, ctx_tag="aq")
+        _aq_env, _SIG_AQ, _NUM, _sumeven_lhs, _sumeven_rhs)
     add("even-bq", "even-number sum, (b;q)-case", "even-number sum, a -> 0",
-        "ctx", _SIG_BQ, _NUM, _sumeven_lhs, _sumeven_rhs, ctx_tag="bq")
+        _bq_env, _SIG_BQ, _NUM, _sumeven_lhs, _sumeven_rhs)
     add("m3rising", "elliptic rising-product sum, m = 2", "rising-factorial sum at m = 2",
-        "ctx", _SIG_FULL, _NUM, _m3rising_lhs, _m3rising_rhs, ctx_tag="full-elliptic")
+        _full_env, _SIG_FULL, _NUM, _m3rising_lhs, _m3rising_rhs)
     add("m3rising-aq", "rising-product sum m = 2, a;q-case", "rising-factorial m = 2, b -> 0",
-        "ctx", _SIG_AQ, _NUM, _m3rising_lhs, _m3rising_rhs, ctx_tag="aq")
+        _aq_env, _SIG_AQ, _NUM, _m3rising_lhs, _m3rising_rhs)
     add("tel-b", "elliptic sum of reciprocal rising products", "reciprocal-product telescoping",
-        "ctx", _SIG_FULL + (("m", _NNI),), _NUM, _telb_lhs, _telb_rhs, ctx_tag="full-elliptic")
+        _full_env, _SIG_FULL + (("m", _NNI),), _NUM, _telb_lhs, _telb_rhs)
     add("bigid", "the multiparameter elliptic telescoping identity", "main theorem",
-        "ctx", _SIG_FULL + _SIG_CDGH, _NUM, _bigid_lhs, _bigid_rhs, ctx_tag="full-elliptic")
+        _full_env, _SIG_FULL + _SIG_CDGH, _NUM, _bigid_lhs, _bigid_rhs)
     add("spc-1", "main identity, a;q-case", "main theorem, p -> 0 and b -> 0",
-        "ctx", _SIG_AQ + _SIG_CDGH, _NUM, _bigid_lhs, _bigid_rhs, ctx_tag="aq")
+        _aq_env, _SIG_AQ + _SIG_CDGH, _NUM, _bigid_lhs, _bigid_rhs)
 
     # --- theta-factorial identities -----------------------------------------
     add("indef-1", "very-well-poised indefinite q-summation", "Schlosser (2004) indefinite sum",
-        "raw", (("a", _CPX), ("b", _CPX), ("q", _CPX)), _NUM, _indef1_lhs, _indef1_rhs)
+        _theta_env, (("a", _CPX), ("b", _CPX), ("q", _CPX)), _NUM, _indef1_lhs, _indef1_rhs)
     add("e-indef-1", "elliptic indefinite summation with balancing parameter", "elliptic indefinite sum",
-        "raw", (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
+        _theta_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
         _NUM, _eindef1_lhs, _eindef1_rhs)
     add("ft-indef", "Frenkel-Turaev summation, e -> a q^(n+1) case", "Frenkel-Turaev 10V9 specialization",
-        "raw", (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
+        _theta_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
         _NUM, _ftindef_lhs, _ftindef_rhs)
     add("warnaar-cubes-elliptic", "elliptic extension of Warnaar's cube sum", "elliptic indefinite sum at a = b = q^2",
-        "raw", (("c", _CPX), ("q", _CPX), ("p", _CPX)), _NUM, _wce_lhs, _wce_rhs,
+        _theta_env, (("c", _CPX), ("q", _CPX), ("p", _CPX)), _NUM, _wce_lhs, _wce_rhs,
         min_n=1)
     add("cubic-odds", "cubic basic hypergeometric extension of the odd sum", "cubic-base odd-number sum",
-        "raw", (("a", _CPX), ("q", _CPX)), _NUM, _cubicodds_lhs, _cubicodds_rhs)
+        _theta_env, (("a", _CPX), ("q", _CPX)), _NUM, _cubicodds_lhs, _cubicodds_rhs)
     add("m00", "Gasper-Schlosser multibasic indefinite summation", "Gasper-Schlosser (2005), Eq. (3.19) at t = q",
-        "raw", (("a", _CPX), ("b", _CPX), ("c", _CPX), ("d", _CPX),
+        _theta_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("d", _CPX),
                 ("q", _CPX), ("r", _CPX), ("s", _CPX), ("p", _CPX)),
         _NUM, _m00_lhs, _m00_rhs)
 
     # --- rational identities -------------------------------------------------
     add("bigid-hyper", "hypergeometric version of the main identity", "main theorem, classical limit",
-        "rational", _SIG_CDGH, _NUM_EXR, _hyper_lhs, _hyper_rhs,
+        _theta_env, _SIG_CDGH, _NUM_EXR, _hyper_lhs, _hyper_rhs,
         exact_domain=_cdgh_exact_domain)
     add("sum-cubes", "sum of the first n cubes", "classical",
-        "rational", (), _NUM_EXR, _sumcubes_lhs, _sumcubes_rhs)
+        _theta_env, (), _NUM_EXR, _sumcubes_lhs, _sumcubes_rhs)
 
     return {d.id: d for d in ids}
 
@@ -1046,32 +1056,12 @@ class VerificationResult:
     trial: Optional[int] = None
 
 
-def _make_env(desc: IdentityDescriptor, params: dict, mode: str,
-              cfg: ThetaConfig, pole_tol: float):
-    if desc.family == "q":
-        return ExactQ() if mode == MODE_EXACT_Q else NumericQ(params["q"], pole_tol)
-    if desc.family == "ctx":
-        tag = desc.ctx_tag
-        if tag == "full-elliptic":
-            ep = EllipticParams(params["a"], params["b"], params["q"], params["p"])
-        elif tag == "abq":
-            ep = EllipticParams(params["a"], params["b"], params["q"], 0)
-        elif tag == "aq":
-            ep = EllipticParams(params["a"], 1, params["q"], 0)
-        elif tag == "bq":
-            ep = EllipticParams(1, params["b"], params["q"], 0)
-        else:
-            ep = EllipticParams(1, 1, params["q"], 0)
-        return make_context(ep, tag, cfg, pole_tol)
-    return _RawEnv(cfg, pole_tol)   # raw family; the rational family only reads pole_tol
-
-
-def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, mode: str,
-                cfg: ThetaConfig, pole_tol: float):
+def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, cfg: ThetaConfig,
+                exact: bool = False):
     """Raw (lhs, rhs) values; poles surface as DomainRejected."""
     if n < desc.min_n:
         raise DomainRejected(f"{desc.id} needs n >= {desc.min_n}")
-    env = _make_env(desc, params, mode, cfg, pole_tol)
+    env = desc.env(params, cfg, exact)
     try:
         lhs = desc.lhs(env, params, n)
         rhs = desc.rhs(env, params, n)
@@ -1112,12 +1102,12 @@ def _exact_sides(desc: IdentityDescriptor, params: dict, n: int, mode: str):
         params = {k: Fraction(v) for k, v in params.items()}
     if desc.exact_domain is not None and not desc.exact_domain(params):
         raise DomainRejected(f"{desc.id}: inadmissible exact parameters")
-    return _eval_sides(desc, params, n, mode, DEFAULT_CONFIG, POLE_TOL)
+    return _eval_sides(desc, params, n, DEFAULT_CONFIG, mode == MODE_EXACT_Q)
 
 
 def evaluate(ident, params: dict, n: int, mode: str = "auto",
              cfg: ThetaConfig = DEFAULT_CONFIG, tol: float = 1e-8,
-             pole_tol: float = POLE_TOL, trial: Optional[int] = None) -> VerificationResult:
+             trial: Optional[int] = None) -> VerificationResult:
     """Evaluate both sides of an identity independently and compare.
 
     Numeric mode ("auto") passes when rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1)
@@ -1131,7 +1121,7 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto",
         raise ModeUnsupported(f"{desc.id} does not support mode {mode!r}")
 
     if mode == MODE_NUMERIC:
-        lv, rv = _eval_sides(desc, params, n, mode, cfg, pole_tol)
+        lv, rv = _eval_sides(desc, params, n, cfg)
         abs_err, rel_err = _metrics_numeric(lv, rv)
         return VerificationResult(desc.id, mode, n, _to_reported(lv), _to_reported(rv),
                                   abs_err, rel_err, rel_err <= tol, dict(params), trial)
@@ -1167,7 +1157,7 @@ def eval_exact(ident, n: int, int_params: dict | None = None) -> tuple[RationalF
 class DegenerationEdge:
     """How a parent identity specializes into a child identity.
 
-    parent_sides(params, n, cfg, pole_tol, exact) evaluates the parent in its
+    parent_sides(params, n, cfg, exact) evaluates the parent in its
     hand-derived limit form at the child's parameters, already multiplied by
     the normalizing prefactor the specialization picks up, so the result is
     directly comparable with the child's own evaluators.
@@ -1184,19 +1174,19 @@ class DegenerationEdge:
 def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
     """Parent evaluator: the parent's shapes in a limit environment.
 
-    env(prm, cfg, pol, exact) builds what the shapes evaluate over (a limit
-    context, a q-provider or a _RawEnv).  scale(P, prm, n) is the normalizing
-    prefactor over the q-provider P for prm["q"]; both sides are multiplied
-    by it.
+    env(prm, cfg, exact) builds what the shapes evaluate over (a limit
+    context, a q-provider or the theta config).  scale(P, prm, n) is the
+    normalizing prefactor over the q-provider P for prm["q"]; both sides are
+    multiplied by it.
     """
 
-    def sides(prm, n, cfg, pol, exact):
-        e = env(prm, cfg, pol, exact)
+    def sides(prm, n, cfg, exact):
+        e = env(prm, cfg, exact)
         np_ = n if n_map is None else n_map(n)
         pp = prm if prm_map is None else prm_map(prm)
         if scale is None:
             return shape_lhs(e, pp, np_), shape_rhs(e, pp, np_)
-        s = scale(ExactQ() if exact else NumericQ(prm["q"], pol), prm, n)
+        s = scale(_q_env(prm, cfg, exact), prm, n)
         return shape_lhs(e, pp, np_) * s, shape_rhs(e, pp, np_) * s
 
     return sides
@@ -1211,20 +1201,14 @@ def _build_edges() -> dict:
         evaluators run over env, by default the parent's own environment."""
         if sides is None:
             desc = _CATALOG[parent]
-            if env is None:
-                env = lambda prm, cfg, pol, exact: _make_env(
-                    desc, prm, MODE_EXACT_Q if exact else MODE_NUMERIC, cfg, pol)
-            sides = _edge(desc.lhs, desc.rhs, env, scale, n_map, prm_map)
+            sides = _edge(desc.lhs, desc.rhs, env or desc.env, scale, n_map, prm_map)
         E.append(DegenerationEdge(parent, child, note, sides, min_n, exact_ok))
 
-    full0 = lambda prm, cfg, pol, exact: FullEllipticCtx(
-        prm["a"], prm["b"], prm["q"], 0, cfg=cfg, pole_tol=pol)
-    aqctx = lambda prm, cfg, pol, exact: AQCtx(prm["a"], prm["q"], pol)
-    bqctx = lambda prm, cfg, pol, exact: BQCtx(prm["b"], prm["q"], pol)
-    qctx = lambda prm, cfg, pol, exact: QCtx(prm["q"], pol)
-    qinv = lambda prm, cfg, pol, exact: QInvCtx(prm["q"], pol)
-    aq_at = lambda aval: (lambda prm, cfg, pol, exact: AQCtx(aval(prm), prm["q"], pol))
-    bq_at = lambda bval: (lambda prm, cfg, pol, exact: BQCtx(bval(prm), prm["q"], pol))
+    full0 = lambda prm, cfg, exact: FullEllipticCtx(prm["a"], prm["b"], prm["q"], 0, cfg)
+    qctx = lambda prm, cfg, exact: QCtx(prm["q"])
+    qinv = lambda prm, cfg, exact: QInvCtx(prm["q"])
+    aq_at = lambda aval: (lambda prm, cfg, exact: AQCtx(aval(prm), prm["q"]))
+    bq_at = lambda bval: (lambda prm, cfg, exact: BQCtx(bval(prm), prm["q"]))
     one = lambda prm: 1.0
     q_ = lambda prm: prm["q"]
 
@@ -1233,8 +1217,8 @@ def _build_edges() -> dict:
 
     # odd-number chain
     add("tel-c", "tel-c-ab", "p = 0: theta factors become 1 - x", full0)
-    add("tel-c-ab", "tel-c-a", "b -> 0 closed form", aqctx)
-    add("tel-c-ab", "tel-c-b", "a -> 0 closed form", bqctx)
+    add("tel-c-ab", "tel-c-a", "b -> 0 closed form", _aq_env)
+    add("tel-c-ab", "tel-c-b", "a -> 0 closed form", _bq_env)
     add("tel-c-a", "sp1", "a -> infinity; divide both sides by q", qctx,
         lambda P, prm, n: P.qpow(-1))
     add("tel-c-b", "sp1", "b -> 0; divide both sides by q", qctx,
@@ -1258,8 +1242,8 @@ def _build_edges() -> dict:
     add("tel-a", "m3rising", "m = 2, index shifted by one", n_map=lambda n: n - 1,
         prm_map=lambda prm: {**prm, "m": 2}, min_n=1)
     add("sum-even", "even-abq", "p = 0: theta factors become 1 - x", full0)
-    add("even-abq", "even-aq", "b -> 0 closed form", aqctx)
-    add("even-abq", "even-bq", "a -> 0 closed form", bqctx)
+    add("even-abq", "even-aq", "b -> 0 closed form", _aq_env)
+    add("even-abq", "even-bq", "a -> 0 closed form", _bq_env)
     add("even-aq", "triangular", "a -> infinity; divide both sides by [2]", qctx,
         lambda P, prm, n: P.one() / P.qn_den(2))
     add("even-bq", "triangular", "b -> 0; divide both sides by [2]", qctx,
@@ -1278,7 +1262,7 @@ def _build_edges() -> dict:
         lambda P, prm, n: P.one() / (P.qn_den(3) * P.qn_den(3)))
 
     # m = 2 rising-product chain
-    add("m3rising", "m3rising-aq", "p = 0 then b -> 0 closed form", aqctx)
+    add("m3rising", "m3rising-aq", "p = 0 then b -> 0 closed form", _aq_env)
     add("m3rising-aq", "m3rising-aq-a0", "a -> 0; multiply by q^(3n)/[3]", qinv,
         lambda P, prm, n: P.qpow(3 * n) / P.qn_den(3))
     add("m3rising-aq", "m3rising-aq-a1", "a = 1; multiply by q^(3n)/[3]", aq_at(one),
@@ -1287,18 +1271,18 @@ def _build_edges() -> dict:
         lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(3)) * P.qpow(3 * n))
     add("m3rising-aq", "m3rising-q2-aq",
         "q -> q^2 then a = q; multiply by [2]^3 [3]^3 q^(6n)/[6]",
-        lambda prm, cfg, pol, exact: AQCtx(prm["q"], prm["q"] ** 2, pol),
+        lambda prm, cfg, exact: AQCtx(prm["q"], prm["q"] ** 2),
         lambda P, prm, n: ((P.qn(2) * P.qn(3)) * (P.qn(2) * P.qn(3))
                            * (P.qn(2) * P.qn(3)) / P.qn_den(6)) * P.qpow(6 * n))
     add("m3rising-aq", "m3rising-q2-a1q",
         "q -> q^2 then a = 1/q; multiply by [2]^3 q^(6n)/[6]",
-        lambda prm, cfg, pol, exact: AQCtx(1.0 / prm["q"], prm["q"] ** 2, pol),
+        lambda prm, cfg, exact: AQCtx(1.0 / prm["q"], prm["q"] ** 2),
         lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(6)) * P.qpow(6 * n))
 
     # main identity chain
     add("bigid", "bigid-hyper", "q -> 1 classical limit: [z] -> z, W -> 1",
-        lambda prm, cfg, pol, exact: ClassicalCtx())
-    add("bigid", "spc-1", "p -> 0 then b -> 0 closed form", aqctx)
+        lambda prm, cfg, exact: ClassicalCtx())
+    add("bigid", "spc-1", "p -> 0 then b -> 0 closed form", _aq_env)
     add("spc-1", "spc-2", "a -> 0: products collapse into explicit q-powers", qinv)
     add("spc-2", "spc-4i", "c = d = g = 1, h = 0, index shift; scale q^(n-1)",
         scale=lambda P, prm, n: P.qpow(n - 1), n_map=lambda n: n - 1,
@@ -1307,7 +1291,7 @@ def _build_edges() -> dict:
         scale=lambda P, prm, n: P.qpow(n * n + n - 2), n_map=lambda n: n - 1,
         prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 1}, min_n=1, exact_ok=True)
 
-    def _cubes_sides(prm, n, cfg, pol, exact):
+    def _cubes_sides(prm, n, cfg, exact):
         # cleared polynomial form of the hypergeometric identity at
         # c = d = 0, g = h = 1 (multiply by cd(ch+dg)/2 before the limit)
         lhs = sum(Fraction(k) ** 3 for k in range(n + 1))
@@ -1353,8 +1337,7 @@ def get_edge(parent_id: str, child_id: str) -> DegenerationEdge:
 
 def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
                        mode: str = MODE_NUMERIC, cfg: ThetaConfig = DEFAULT_CONFIG,
-                       tol: float = 1e-10, pole_tol: float = POLE_TOL,
-                       trial: Optional[int] = None) -> VerificationResult:
+                       tol: float = 1e-10, trial: Optional[int] = None) -> VerificationResult:
     """Check a registered degeneration edge at the child's parameters.
 
     Evaluates the parent in its specialized closed form (with the edge's
@@ -1372,12 +1355,11 @@ def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
         raise ModeUnsupported(f"edge {ident} supports only numeric checking")
 
     try:
-        p_lhs, p_rhs = edge.parent_sides(params, n, cfg, pole_tol, exact)
+        p_lhs, p_rhs = edge.parent_sides(params, n, cfg, exact)
     except (PoleProximity, DivisionByZeroFactor, DegenerateDenominator,
             ZeroDivisionError) as exc:
         raise DomainRejected(str(exc)) from exc
-    c_lhs, c_rhs = _eval_sides(child, params, n,
-                               MODE_EXACT_Q if exact else MODE_NUMERIC, cfg, pole_tol)
+    c_lhs, c_rhs = _eval_sides(child, params, n, cfg, exact)
 
     if exact:
         equal = (p_lhs == c_lhs) and (p_rhs == c_rhs)

@@ -236,7 +236,7 @@ class ExactQ:
     """Exact q-arithmetic provider for identity evaluators.
 
     Exposes the same small interface as the numeric provider: q-numbers,
-    powers of q, and constants, over RationalFn values.  Non-integral
+    powers of q, zero and one, over RationalFn values.  Non-integral
     exponents raise NonIntegerExponent, since only integer powers of q live
     in the Laurent ring.
     """
@@ -265,9 +265,6 @@ class ExactQ:
 
     def qpow(self, e) -> RationalFn:
         return RationalFn.monomial(self._as_int(e))
-
-    def const(self, c) -> RationalFn:
-        return RationalFn.from_scalar(c)
 
     def zero(self) -> RationalFn:
         return RationalFn.zero()

@@ -95,6 +95,7 @@ def theta_scaled(a, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[Scal
     Accepts a as complex or ScaledComplex of any magnitude.  The minimum
     factor magnitude lets callers detect proximity to a theta zero; it is
     reported as +inf for the p = 0 shortcut path when |1 - a| overflows.
+    A nome with |p| >= 1 raises ValueError: the product does not converge.
     """
     a = sc(a)
     if p == 0:
@@ -102,10 +103,13 @@ def theta_scaled(a, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[Scal
         # needs a != 0, which the p != 0 branch enforces
         val = ONE - a
         return val, abs(val)
+    pa = abs(p)
+    if not pa < 1.0:
+        raise ValueError(f"nome must satisfy |p| < 1, got |p| = {pa}")
     if a.is_zero():
         raise ZeroArgument("theta argument must be nonzero")
 
-    lp2 = math.log2(abs(p))
+    lp2 = math.log2(pa)
     m = math.ceil(a.log2_abs() / -lp2)
     if m != 0:
         pref = a.ipow(m) * sc(p).ipow(m * (m - 1) // 2)
@@ -116,10 +120,10 @@ def theta_scaled(a, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[Scal
         pref = None
         an = a.to_complex()
 
-    terms = truncation_terms(abs(an), abs(p), cfg.tail_tol)
+    terms = truncation_terms(abs(an), pa, cfg.tail_tol)
     if terms > cfg.max_terms:
         raise TruncationNotConverged(
-            f"theta at |a| = {abs(an):.3g}, |p| = {abs(p):.3g} needs J = {terms} "
+            f"theta at |a| = {abs(an):.3g}, |p| = {pa:.3g} needs J = {terms} "
             f"> max_terms = {cfg.max_terms}")
 
     inv = p / an
@@ -162,12 +166,11 @@ def theta_prod(args, nome: Nome, cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
 
 
 def factorial_scaled(a, base: complex, p: complex, k: int,
-                     cfg: ThetaConfig = DEFAULT_CONFIG,
-                     pole_tol: float | None = None) -> tuple[ScaledComplex, float]:
+                     cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[ScaledComplex, float]:
     """Scaled theta shifted factorial (a; base, p)_k with min-factor tracking.
 
     For k < 0 the standard reciprocal convention applies; a reciprocal factor
-    within pole_tol of zero (or exactly zero) raises DivisionByZeroFactor.
+    within POLE_TOL of zero (or exactly zero) raises DivisionByZeroFactor.
     """
     minfac = math.inf
     out = ONE
@@ -186,18 +189,16 @@ def factorial_scaled(a, base: complex, p: complex, k: int,
             if mf < minfac:
                 minfac = mf
             out = out * val
-        tol = POLE_TOL if pole_tol is None else pole_tol
-        if minfac < tol or out.is_zero():
+        if minfac < POLE_TOL or out.is_zero():
             raise DivisionByZeroFactor(
-                f"reciprocal factorial factor within {tol:g} of zero (min |factor| = {minfac:.3g})"
-            )
+                f"reciprocal factorial factor within {POLE_TOL:g} of zero "
+                f"(min |factor| = {minfac:.3g})")
         out = ONE / out
     return out, minfac
 
 
 def shifted_factorial(a: complex, grid: GeometricGrid, k: int,
-                      cfg: ThetaConfig = DEFAULT_CONFIG,
-                      pole_tol: float = POLE_TOL) -> complex:
+                      cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
     """Theta shifted factorial (a; base, p)_k along the given grid."""
-    val, _ = factorial_scaled(a, grid.base, grid.nome.p, k, cfg, pole_tol)
+    val, _ = factorial_scaled(a, grid.base, grid.nome.p, k, cfg)
     return val.to_complex()

@@ -218,8 +218,8 @@ def test_criterion_7_section3_suite():
 def test_criterion_8_determinism(tmp_path):
     from ellid.cli import main
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    code1 = main(["sweep", "--suite", "all", "--seed", "42", "--json", str(out1)])
-    code2 = main(["sweep", "--suite", "all", "--seed", "42", "--json", str(out2)])
+    code1 = main(["sweep", "--seed", "42", "--json", str(out1)])
+    code2 = main(["sweep", "--seed", "42", "--json", str(out2)])
     a = json.loads(out1.read_text())
     b = json.loads(out2.read_text())
     ta = a.pop("timings")

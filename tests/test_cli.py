@@ -49,6 +49,7 @@ def test_bad_flags_exit_2(capsys):
     assert main(["verify", "--id", "geo"]) == 2          # missing --n
     assert main(["verify", "--id", "geo", "--n", "1",
                  "--param", "oops"]) == 2                 # malformed param
+    assert main(["sweep", "--suite", "all"]) == 2          # no such flag
 
 
 def test_env_seed(monkeypatch, capsys):
@@ -92,14 +93,13 @@ def test_verify_json_equals_two_step_checks(tmp_path, capsys):
                             fixed={"a": 0.3 + 0.2j})
         assert prm["a"] == 0.3 + 0.2j
         ref.append(result_record(evaluate("tel-c", prm, 3, MODE_NUMERIC,
-                                          theta_cfg, DEFAULT_TOL,
-                                          cfg.pole_tol, trial)))
+                                          theta_cfg, DEFAULT_TOL, trial)))
     assert results == json.loads(json.dumps(ref))
 
 
 def test_sweep_small(tmp_path, capsys):
     path = tmp_path / "sweep.json"
-    code = main(["sweep", "--suite", "all", "--n-max", "1", "--trials", "1",
+    code = main(["sweep", "--n-max", "1", "--trials", "1",
                  "--seed", "3", "--json", str(path)])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -121,6 +121,10 @@ def test_sweep_small(tmp_path, capsys):
      "needs m of kind non-negative-integer"),
     (["--id", "tel-b", "--n", "2", "--param", "m=-1"],
      "needs m of kind non-negative-integer"),
+    (["--id", "ft-indef", "--n", "3", "--trials", "3", "--param", "p=1.5"],
+     "needs |p| < 1"),
+    (["--id", "basic-g", "--n", "3", "--param", "p=1.5"], "needs |p| < 1"),
+    (["--id", "tel-c", "--n", "3", "--param", "q=0"], "q must be nonzero"),
 ])
 def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
     assert main(["verify", *argv]) == 2

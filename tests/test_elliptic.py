@@ -22,12 +22,6 @@ def test_params_validate():
     EllipticParams(0, 1, 2, 0)            # fine at p = 0
 
 
-def test_shift_composition_exact():
-    pr = EllipticParams(0.3 + 0.1j, 0.7, 0.5, 0.2)
-    x, y = 0.25, 1.5 - 0.5j
-    assert pr.shift(x).shift(y) == pr.shift(x + y)
-
-
 def test_specialization_tags():
     assert Specialization("aq") == AQ
     with pytest.raises(ValueError):

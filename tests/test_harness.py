@@ -202,12 +202,11 @@ def test_suite_records_equal_two_step_checks():
             parent, child = rec["id"].split("->")
             prm = sample_edge_params(parent, child, cfg, trial, n, theta_cfg)
             ref = reduce_chain_check(parent, child, prm, n, cfg=theta_cfg,
-                                     tol=EDGE_TOL, pole_tol=cfg.pole_tol,
-                                     trial=trial)
+                                     tol=EDGE_TOL, trial=trial)
         else:
             prm = sample_params(rec["id"], cfg, trial, n, theta_cfg)
             ref = evaluate(rec["id"], prm, n, MODE_NUMERIC, theta_cfg,
-                           DEFAULT_TOL, cfg.pole_tol, trial)
+                           DEFAULT_TOL, trial)
         assert rec == result_record(ref)
 
 

@@ -179,8 +179,8 @@ def test_all_edges_verify(draws):
 def _times_q(sides):
     """parent_sides with both sides multiplied by q, or by 2 without a q."""
 
-    def mutant(prm, n, cfg, pol, exact):
-        lhs, rhs = sides(prm, n, cfg, pol, exact)
+    def mutant(prm, n, cfg, exact):
+        lhs, rhs = sides(prm, n, cfg, exact)
         if exact:
             f = ExactQ().qpow(1)
         elif "q" in prm and not isinstance(lhs, Fraction):

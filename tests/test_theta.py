@@ -23,6 +23,12 @@ def test_types_validate():
         GeometricGrid(0, Nome(0.1))
 
 
+def test_theta_scaled_rejects_nome_outside_unit_disc():
+    for p in (1.0, -1.2, 1.5j, 0.8 + 0.8j):
+        with pytest.raises(ValueError, match=r"\|p\| < 1"):
+            theta_scaled(0.5, p)
+
+
 def test_theta_examples():
     assert theta(0.5, Nome(0)) == 0.5
     assert theta(1.0, Nome(0.3)) == 0
