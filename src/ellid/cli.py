@@ -13,6 +13,7 @@ Exit status: 0 if every check passed, 1 on any verification failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -47,12 +48,17 @@ def _parse_param(text: str) -> tuple[str, complex]:
             f"expected name=re[,im], got {text!r}")
 
 
+#: least value of each integer parameter kind
+_INT_MIN = {"non-negative-integer": 0, "positive-integer": 1}
+
+
 def _pinned_params(desc, fixed: dict, mode: str) -> dict:
     """Pinned values checked against the identity's signature.
 
     Exact mode pins every parameter but q, as integers; in numeric mode the
-    integer-kind parameters (m) must be integers too.  A pinned nome p needs
-    |p| < 1 and a pinned base q must be nonzero.
+    integer-kind parameters (m) must be integers too, at least the least
+    value of their kind.  A pinned nome p needs |p| < 1 and a pinned base q
+    must be nonzero.
     """
     kinds = dict(desc.param_signature)
     unknown = [name for name in fixed if name not in kinds]
@@ -77,7 +83,7 @@ def _pinned_params(desc, fixed: dict, mode: str) -> dict:
         if not exact and kind == "complex":
             prm[name] = v
         elif (v.imag != 0 or not v.real.is_integer()
-              or (kind == "non-negative-integer" and v.real < 0)):
+              or v.real < _INT_MIN.get(kind, -math.inf)):
             need = ("exact mode needs integer parameters" if exact
                     else f"{desc.id} needs {name} of kind {kind}")
             raise ValueError(f"{need}, got {name}={v}")

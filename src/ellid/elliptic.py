@@ -13,15 +13,22 @@ with [0] = 0 and [1] = 1.  The elliptic weight is the five-theta quotient
 
 which mediates the addition rule [x+y] = [x] + W(x) [y]_{a q^(2x), b q^x}.
 
-Specializations are implemented as distinct closed forms, never by plugging
-tiny or huge parameter values:
+Each specialization is one context class, built directly from its
+parameters and implemented as a distinct closed form, never by plugging tiny
+or huge parameter values into another:
 
-    abq : p = 0, all theta factors become 1 - x;
-    aq  : p = 0 and b -> 0 (or b -> infinity),
+    FullEllipticCtx(a, b, q, p) : the theta quotients above;
+    ABQCtx(a, b, q) : p = 0, all theta factors become 1 - x;
+    AQCtx(a, q)     : p = 0 and b -> 0 (or b -> infinity),
           [z] = (1-q^z)(1-a q^z) / ((1-q)(1-a q)) * q^(1-z),  W(k) = (1-a q^(2k+1))/(1-a q) * q^(-k);
-    bq  : p = 0 and a -> 0 (or a -> infinity),
+    BQCtx(b, q)     : p = 0 and a -> 0 (or a -> infinity),
           [z] = (1-q^z)(1-b q^2) / ((1-q)(1-b q^(z+1))),      W(k) = (1-bq)(1-bq^2)/((1-bq^(k+1))(1-bq^(k+2))) * q^k;
-    q   : both limits, [z]_q = (1-q^z)/(1-q) and W(k) = q^k.
+    QCtx(q)         : both limits, [z]_q = (1-q^z)/(1-q) and W(k) = q^k.
+
+Every context's num(z) and wt(k) return ScaledComplex values; write
+complex(AQCtx(a, q).num(z)) for a plain number.  FullEllipticCtx validates
+its inputs (|p| < 1, q != 0, and a, b nonzero when p != 0) and every closed
+form needs q != 0; a violation raises ValueError.
 
 A parameter shift a -> a q^(2s), b -> b q^s is the s argument of num and
 wt; the power q^s is materialized at evaluation time through the single
@@ -30,49 +37,9 @@ principal-branch power convention of cpow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._scaled import ONE, ScaledComplex, cpow, sc
 from .errors import PoleProximity
 from .theta import DEFAULT_CONFIG, POLE_TOL, ThetaConfig, theta_scaled
-
-SPECIALIZATION_TAGS = ("full-elliptic", "abq", "aq", "bq", "q")
-
-
-@dataclass(frozen=True)
-class Specialization:
-    """Which closed form of the elliptic quantities to use."""
-
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in SPECIALIZATION_TAGS:
-            raise ValueError(f"unknown specialization tag {self.tag!r}")
-
-
-FULL_ELLIPTIC = Specialization("full-elliptic")
-ABQ = Specialization("abq")
-AQ = Specialization("aq")
-BQ = Specialization("bq")
-Q = Specialization("q")
-
-
-@dataclass(frozen=True)
-class EllipticParams:
-    """The parameter quadruple (a, b, q, p)."""
-
-    a: complex
-    b: complex
-    q: complex
-    p: complex
-
-    def __post_init__(self):
-        if not abs(self.p) < 1:
-            raise ValueError("|p| < 1 required")
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
-        if self.p != 0 and (self.a == 0 or self.b == 0):
-            raise ValueError("a and b must be nonzero when p != 0")
 
 
 class FullEllipticCtx:
@@ -84,14 +51,18 @@ class FullEllipticCtx:
     caller guarantees q == exp(logq).
     """
 
-    tag = "full-elliptic"
-
     def __init__(self, a, b, q, p, cfg: ThetaConfig = DEFAULT_CONFIG,
                  logq: complex | None = None):
         self.a = complex(a)
         self.b = complex(b)
         self.q = complex(q)
         self.p = complex(p)
+        if not abs(self.p) < 1:
+            raise ValueError("|p| < 1 required")
+        if self.q == 0:
+            raise ValueError("q must be nonzero")
+        if self.p != 0 and (self.a == 0 or self.b == 0):
+            raise ValueError("a and b must be nonzero when p != 0")
         self.cfg = cfg
         self._logq = logq
 
@@ -151,6 +122,8 @@ class _ClosedFormCtx:
 
     def __init__(self, q):
         self.q = complex(q)
+        if self.q == 0:
+            raise ValueError("q must be nonzero")
 
     def _f(self, x) -> ScaledComplex:
         return ONE - x
@@ -167,8 +140,6 @@ class _ClosedFormCtx:
 
 class ABQCtx(_ClosedFormCtx):
     """a,b;q-numbers and weights (p = 0)."""
-
-    tag = "abq"
 
     def __init__(self, a, b, q):
         super().__init__(q)
@@ -201,8 +172,6 @@ class ABQCtx(_ClosedFormCtx):
 class AQCtx(_ClosedFormCtx):
     """a;q-numbers and weights (p = 0, b -> 0 or b -> infinity)."""
 
-    tag = "aq"
-
     def __init__(self, a, q):
         super().__init__(q)
         self.a = complex(a)
@@ -227,8 +196,6 @@ class AQCtx(_ClosedFormCtx):
 
 class BQCtx(_ClosedFormCtx):
     """(b;q)-numbers and weights (p = 0, a -> 0 or a -> infinity)."""
-
-    tag = "bq"
 
     def __init__(self, b, q):
         super().__init__(q)
@@ -256,8 +223,6 @@ class BQCtx(_ClosedFormCtx):
 class QCtx(_ClosedFormCtx):
     """Plain q-numbers: [z]_q = (1 - q^z)/(1 - q), W(k) = q^k."""
 
-    tag = "q"
-
     def num(self, z, s=0) -> ScaledComplex:
         return self._f(self.qpow(z)) / self._fd(sc(self.q))
 
@@ -268,11 +233,9 @@ class QCtx(_ClosedFormCtx):
 class QInvCtx(_ClosedFormCtx):
     """The other one-parameter-free limit: a -> 0 of aq (= b -> inf of bq).
 
-    [z] -> [z]_q q^(1-z) and W(k) -> q^(-k); used by the degeneration edges,
-    not a public specialization tag.
+    [z] -> [z]_q q^(1-z) and W(k) -> q^(-k); used only by the degeneration
+    edges.
     """
-
-    tag = "q-inv"
 
     def num(self, z, s=0) -> ScaledComplex:
         q = self.q
@@ -286,8 +249,6 @@ class QInvCtx(_ClosedFormCtx):
 class ClassicalCtx:
     """q -> 1 degeneration: [z] = z and W = 1 (for the hypergeometric forms)."""
 
-    tag = "classical"
-
     def num(self, z, s=0) -> ScaledComplex:
         return sc(z)
 
@@ -295,50 +256,7 @@ class ClassicalCtx:
         return ONE
 
 
-def make_context(params: EllipticParams, spec: Specialization = FULL_ELLIPTIC,
-                 cfg: ThetaConfig = DEFAULT_CONFIG):
-    """Build the evaluation context matching a specialization tag."""
-    tag = spec.tag if isinstance(spec, Specialization) else str(spec)
-    if tag == "full-elliptic":
-        return FullEllipticCtx(params.a, params.b, params.q, params.p, cfg)
-    if tag == "abq":
-        return ABQCtx(params.a, params.b, params.q)
-    if tag == "aq":
-        return AQCtx(params.a, params.q)
-    if tag == "bq":
-        return BQCtx(params.b, params.q)
-    if tag == "q":
-        return QCtx(params.q)
-    raise ValueError(f"unknown specialization tag {tag!r}")
-
-
-def elliptic_number(z, params: EllipticParams, spec: Specialization = FULL_ELLIPTIC,
-                    cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
-    """[z] with the given parameters, in the requested specialization."""
-    return make_context(params, spec, cfg).num(z).to_complex()
-
-
-def elliptic_weight(k, params: EllipticParams, spec: Specialization = FULL_ELLIPTIC,
-                    cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
-    """W(k) with the given parameters, in the requested specialization."""
-    return make_context(params, spec, cfg).wt(k).to_complex()
-
-
-def elliptic_factorial(m: int, params: EllipticParams,
-                       spec: Specialization = FULL_ELLIPTIC,
-                       cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
-    """[m]! = [m][m-1]...[1]; empty product 1 for m = 0."""
-    if m < 0:
-        raise ValueError("elliptic factorial needs m >= 0")
-    ctx = make_context(params, spec, cfg)
-    out = ONE
-    for j in range(1, m + 1):
-        out = out * ctx.num(j)
-    return out.to_complex()
-
-
-def _quad_rel_terms(x, y, r, params: EllipticParams,
-                    cfg: ThetaConfig = DEFAULT_CONFIG):
+def _quad_rel_terms(x, y, r, ctx: FullEllipticCtx):
     """The three products of the quadratic theta relation, in scaled form.
 
     term1 - term2 = term3 is the difference equation behind the main
@@ -348,7 +266,6 @@ def _quad_rel_terms(x, y, r, params: EllipticParams,
 
     with s the shift r + x - y applied to (a, b).
     """
-    ctx = make_context(params, FULL_ELLIPTIC, cfg)
     s = r + x - y
     t1 = ctx.num(x) * ctx.num(y, s=s)
     t2 = ctx.num(x + r) * ctx.num(y - r, s=s)
@@ -356,8 +273,7 @@ def _quad_rel_terms(x, y, r, params: EllipticParams,
     return t1, t2, t3
 
 
-def quad_rel_residual(x, y, r, params: EllipticParams,
-                      cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
+def quad_rel_residual(x, y, r, ctx: FullEllipticCtx) -> complex:
     """LHS - RHS of the quadratic relation; zero for valid parameters."""
-    t1, t2, t3 = _quad_rel_terms(x, y, r, params, cfg)
+    t1, t2, t3 = _quad_rel_terms(x, y, r, ctx)
     return (t1 - t2 - t3).to_complex()

@@ -238,14 +238,14 @@ def _coeff_map(poly) -> dict:
     return {str(e): str(c) for e, c in sorted(poly.coeffs.items())}
 
 
-def _exact_sides(lhs: RationalFn, rhs: RationalFn) -> tuple[dict, dict]:
+def _cross_coeff_maps(lhs: RationalFn, rhs: RationalFn) -> tuple[dict, dict]:
     return (_coeff_map(lhs.num * rhs.den), _coeff_map(rhs.num * lhs.den))
 
 
 def result_record(res: VerificationResult) -> dict:
     """One VerificationResult in the JSON schema."""
     if isinstance(res.lhs, RationalFn) and isinstance(res.rhs, RationalFn):
-        lhs, rhs = _exact_sides(res.lhs, res.rhs)
+        lhs, rhs = _cross_coeff_maps(res.lhs, res.rhs)
     else:
         lhs, rhs = _cnum(res.lhs), _cnum(res.rhs)
     params = {}

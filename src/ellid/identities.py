@@ -35,8 +35,8 @@ from typing import Callable, Optional
 from ._scaled import ONE, ZERO, ScaledComplex, cpow, sc
 from .elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx,
                        QCtx, QInvCtx)
-from .errors import (DegenerateDenominator, DivisionByZeroFactor, DomainRejected,
-                     ModeUnsupported, PoleProximity, UnknownEdge, UnknownIdentity)
+from .errors import (DivisionByZeroFactor, DomainRejected, ModeUnsupported,
+                     PoleProximity, UnknownEdge, UnknownIdentity)
 from .qexact import ExactQ, RationalFn
 from .theta import DEFAULT_CONFIG, POLE_TOL, ThetaConfig, factorial_scaled, theta_scaled
 
@@ -872,7 +872,7 @@ class IdentityDescriptor:
     title: str
     source: str
     env: Callable                     # env(params, cfg, exact): what lhs/rhs evaluate over
-    param_signature: tuple            # ((name, kind), ...) kinds: complex / integer / non-negative-integer
+    param_signature: tuple            # ((name, kind), ...) kinds: complex / non-negative-integer / positive-integer
     modes: frozenset
     lhs: Callable
     rhs: Callable
@@ -885,6 +885,7 @@ class IdentityDescriptor:
 
 _CPX = "complex"
 _NNI = "non-negative-integer"
+_PI = "positive-integer"
 
 _NUM = frozenset({MODE_NUMERIC})
 _NUM_EXQ = frozenset({MODE_NUMERIC, MODE_EXACT_Q})
@@ -984,7 +985,7 @@ def _build_catalog() -> dict:
     add("m3rising-aq", "rising-product sum m = 2, a;q-case", "rising-factorial m = 2, b -> 0",
         _aq_env, _SIG_AQ, _NUM, _m3rising_lhs, _m3rising_rhs)
     add("tel-b", "elliptic sum of reciprocal rising products", "reciprocal-product telescoping",
-        _full_env, _SIG_FULL + (("m", _NNI),), _NUM, _telb_lhs, _telb_rhs)
+        _full_env, _SIG_FULL + (("m", _PI),), _NUM, _telb_lhs, _telb_rhs)
     add("bigid", "the multiparameter elliptic telescoping identity", "main theorem",
         _full_env, _SIG_FULL + _SIG_CDGH, _NUM, _bigid_lhs, _bigid_rhs)
     add("spc-1", "main identity, a;q-case", "main theorem, p -> 0 and b -> 0",
@@ -1065,8 +1066,7 @@ def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, cfg: ThetaConfig
     try:
         lhs = desc.lhs(env, params, n)
         rhs = desc.rhs(env, params, n)
-    except (PoleProximity, DivisionByZeroFactor, DegenerateDenominator,
-            ZeroDivisionError) as exc:
+    except (PoleProximity, DivisionByZeroFactor, ZeroDivisionError) as exc:
         raise DomainRejected(str(exc)) from exc
     return lhs, rhs
 
@@ -1356,8 +1356,7 @@ def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
 
     try:
         p_lhs, p_rhs = edge.parent_sides(params, n, cfg, exact)
-    except (PoleProximity, DivisionByZeroFactor, DegenerateDenominator,
-            ZeroDivisionError) as exc:
+    except (PoleProximity, DivisionByZeroFactor, ZeroDivisionError) as exc:
         raise DomainRejected(str(exc)) from exc
     c_lhs, c_rhs = _eval_sides(child, params, n, cfg, exact)
 

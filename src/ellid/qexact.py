@@ -112,16 +112,6 @@ class LaurentPoly:
                         del out[e]
         return LaurentPoly(out)
 
-    def scale(self, c) -> "LaurentPoly":
-        c = _coeff(c)
-        if not c:
-            return LaurentPoly()
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by q**k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
     def __call__(self, x):
         """Evaluate at a numeric (or Fraction) point x != 0."""
         out = 0 * x  # matches the result type of x

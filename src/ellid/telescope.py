@@ -32,10 +32,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from ._scaled import ONE, ScaledComplex
-from .elliptic import FULL_ELLIPTIC, EllipticParams, Specialization, make_context
 from .errors import DegenerateDenominator, UnknownTheorem
 from .qexact import RationalFn
-from .theta import DEFAULT_CONFIG, ThetaConfig
 
 
 @dataclass
@@ -119,16 +117,15 @@ def _one_like(x):
     return 1.0 + 0j if isinstance(x, complex) else 1
 
 
-def builder(theorem_id: str, params: EllipticParams, extra: dict | None = None,
-            spec: Specialization = FULL_ELLIPTIC,
-            cfg: ThetaConfig = DEFAULT_CONFIG) -> TelescopePair:
+def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
     """The u/v (and claimed t) sequences from the named summation proof.
 
-    extra carries per-theorem data: m for "tel-a"/"tel-b", the four complex
+    ctx is an elliptic context (any class of `elliptic`, e.g. the one a
+    catalog identity's `env` builds) whose num/wt the sequences use.  extra
+    carries per-theorem data: m for "tel-a"/"tel-b", the four complex
     parameters c, d, g, h for "bigid".
     """
     extra = extra or {}
-    ctx = make_context(params, spec, cfg)
 
     if theorem_id == "tel-c":
         def u(k):

@@ -39,17 +39,6 @@ POLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class Nome:
-    """The nome p, |p| < 1 strictly."""
-
-    p: complex
-
-    def __post_init__(self):
-        if not abs(self.p) < 1:
-            raise ValueError(f"nome must satisfy |p| < 1, got |p| = {abs(self.p)}")
-
-
-@dataclass(frozen=True)
 class ThetaConfig:
     """Truncation order and tail tolerance for theta products."""
 
@@ -64,18 +53,6 @@ class ThetaConfig:
 
 
 DEFAULT_CONFIG = ThetaConfig()
-
-
-@dataclass(frozen=True)
-class GeometricGrid:
-    """A shifted factorial's argument progression: a, a*base, a*base^2, ..."""
-
-    base: complex
-    nome: Nome
-
-    def __post_init__(self):
-        if self.base == 0:
-            raise ValueError("factorial base must be nonzero")
 
 
 def truncation_terms(aa: float, pa: float, tail_tol: float) -> int:
@@ -148,19 +125,19 @@ def theta_scaled(a, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[Scal
     return out, minfac
 
 
-def theta(a: complex, nome: Nome, cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
+def theta(a: complex, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
     """The modified Jacobi theta function theta(a; p)."""
     if a == 0:
         raise ZeroArgument("theta argument must be nonzero")
-    val, _ = theta_scaled(a, nome.p, cfg)
+    val, _ = theta_scaled(a, p, cfg)
     return val.to_complex()
 
 
-def theta_prod(args, nome: Nome, cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
+def theta_prod(args, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
     """theta(a1, ..., ar; p) = theta(a1; p) * ... * theta(ar; p); empty -> 1."""
     out = ONE
     for a in args:
-        val, _ = theta_scaled(a, nome.p, cfg)
+        val, _ = theta_scaled(a, p, cfg)
         out = out * val
     return out.to_complex()
 
@@ -197,8 +174,10 @@ def factorial_scaled(a, base: complex, p: complex, k: int,
     return out, minfac
 
 
-def shifted_factorial(a: complex, grid: GeometricGrid, k: int,
+def shifted_factorial(a: complex, base: complex, p: complex, k: int,
                       cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
-    """Theta shifted factorial (a; base, p)_k along the given grid."""
-    val, _ = factorial_scaled(a, grid.base, grid.nome.p, k, cfg)
+    """Theta shifted factorial (a; base, p)_k along a, a*base, a*base^2, ..."""
+    if base == 0:
+        raise ValueError("factorial base must be nonzero")
+    val, _ = factorial_scaled(a, base, p, k, cfg)
     return val.to_complex()

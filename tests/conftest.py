@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ellid.elliptic import EllipticParams
+from ellid.elliptic import FullEllipticCtx
 
 
 class Draws:
@@ -31,7 +31,7 @@ class Draws:
                 return z
 
     def params(self, p_radius=0.5):
-        return EllipticParams(self.box(0.1), self.box(0.1), self.q(), self.p(p_radius))
+        return FullEllipticCtx(self.box(0.1), self.box(0.1), self.q(), self.p(p_radius))
 
 
 @pytest.fixture

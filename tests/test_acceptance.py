@@ -6,13 +6,13 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 import json
 import time
 
-from ellid.elliptic import make_context, _quad_rel_terms
+from ellid.elliptic import FullEllipticCtx, _quad_rel_terms
 from ellid._scaled import cpow, sc
 from ellid.harness import SampleConfig, run_suite, sample_edge_params
 from ellid.identities import (catalog, edges, eval_exact, get_identity,
                               reduce_chain_check)
 from ellid.telescope import builder, telescope_both_sides
-from ellid.theta import Nome, theta, theta_prod
+from ellid.theta import theta, theta_prod
 from conftest import Draws
 
 
@@ -94,17 +94,17 @@ def test_criterion_4_theta_laws():
     worst_inv = 0.0
     for _ in range(1000):
         a, p = draws.box(0.1), draws.p(0.5)
-        t1 = theta(a, Nome(p))
-        t2 = theta(p / a, Nome(p)) if p != 0 else t1
-        t3 = -a * theta(1 / a, Nome(p))
+        t1 = theta(a, p)
+        t2 = theta(p / a, p) if p != 0 else t1
+        t3 = -a * theta(1 / a, p)
         worst_inv = max(worst_inv, abs(t1 - t2) / abs(t1), abs(t1 - t3) / abs(t1))
     worst_add = 0.0
     for _ in range(1000):
         x, y, u, v = (draws.box(0.1) for _ in range(4))
-        nome = Nome(draws.p(0.5))
-        t1 = theta_prod([x * y, x / y, u * v, u / v], nome)
-        t2 = theta_prod([x * v, x / v, u * y, u / y], nome)
-        t3 = theta_prod([y * v, y / v, x * u, x / u], nome)
+        p = draws.p(0.5)
+        t1 = theta_prod([x * y, x / y, u * v, u / v], p)
+        t2 = theta_prod([x * v, x / v, u * y, u / y], p)
+        t3 = theta_prod([y * v, y / v, x * u, x / u], p)
         scale = max(abs(t1), abs(t2), abs(t3))
         worst_add = max(worst_add, abs(t1 - t2 - (u / y) * t3) / scale)
     dt = time.time() - t0
@@ -118,10 +118,8 @@ def test_criterion_5_elliptic_laws():
     worst = {"recur1": 0.0, "5a": 0.0, "5b": 0.0, "5c": 0.0, "5d": 0.0,
              "quad-rel": 0.0}
     import cmath
-    from ellid.elliptic import FullEllipticCtx
     for _ in range(500):
-        pr = draws.params()
-        ctx = make_context(pr)
+        ctx = draws.params()
         x, y, r = draws.box(0.1), draws.box(0.1), draws.box(0.1)
 
         lhs = ctx.num(x + y)
@@ -142,15 +140,15 @@ def test_criterion_5_elliptic_laws():
         worst["5c"] = max(worst["5c"], abs((lhs - rhs).to_complex())
                           / max(abs(lhs), abs(rhs), 1.0))
 
-        logq = cmath.log(pr.q)
-        inner = FullEllipticCtx(pr.a, pr.b * cmath.exp((1 - x) * logq),
-                                cmath.exp(x * logq), pr.p, logq=x * logq)
+        logq = cmath.log(ctx.q)
+        inner = FullEllipticCtx(ctx.a, ctx.b * cmath.exp((1 - x) * logq),
+                                cmath.exp(x * logq), ctx.p, logq=x * logq)
         lhs = ctx.num(x * y)
         rhs = ctx.num(x) * inner.num(y)
         worst["5d"] = max(worst["5d"], abs((lhs - rhs).to_complex())
                           / max(abs(lhs), abs(rhs), 1.0))
 
-        t1, t2, t3 = _quad_rel_terms(x, y, r, pr)
+        t1, t2, t3 = _quad_rel_terms(x, y, r, ctx)
         scale = max(abs(t1), abs(t2), abs(t3))
         worst["quad-rel"] = max(worst["quad-rel"],
                                 abs((t1 - t2 - t3).to_complex()) / scale)
@@ -158,14 +156,13 @@ def test_criterion_5_elliptic_laws():
     worst_nome = 0.0
     done = 0
     while done < 200:
-        pr = draws.params()
-        if pr.p == 0:
+        ctx = draws.params()
+        if ctx.p == 0:
             continue
         done += 1
-        ctx = make_context(pr)
         z = draws.box(0.1)
         v1 = ctx.num(z)
-        v2 = ctx.num_from_power(sc(pr.p) * cpow(pr.q, z))
+        v2 = ctx.num_from_power(sc(ctx.p) * cpow(ctx.q, z))
         worst_nome = max(worst_nome, abs((v1 - v2).to_complex())
                          / max(abs(v1), 1e-30))
 

@@ -120,11 +120,15 @@ def test_sweep_small(tmp_path, capsys):
     (["--id", "tel-a", "--n", "2", "--param", "m=1.5"],
      "needs m of kind non-negative-integer"),
     (["--id", "tel-b", "--n", "2", "--param", "m=-1"],
-     "needs m of kind non-negative-integer"),
+     "needs m of kind positive-integer"),
     (["--id", "ft-indef", "--n", "3", "--trials", "3", "--param", "p=1.5"],
      "needs |p| < 1"),
     (["--id", "basic-g", "--n", "3", "--param", "p=1.5"], "needs |p| < 1"),
     (["--id", "tel-c", "--n", "3", "--param", "q=0"], "q must be nonzero"),
+    (["--id", "tel-c", "--n", "3", "--param", "b=0"],
+     "a and b must be nonzero when p != 0"),
+    (["--id", "tel-b", "--n", "3", "--param", "m=0"],
+     "needs m of kind positive-integer"),
 ])
 def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
     assert main(["verify", *argv]) == 2

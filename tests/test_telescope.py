@@ -1,6 +1,6 @@
 import pytest
 
-from ellid.elliptic import EllipticParams, Q
+from ellid.elliptic import QCtx
 from ellid.errors import DegenerateDenominator, UnknownTheorem
 from ellid.identities import NumericQ, _sumeven_lhs
 from ellid.qexact import RationalFn, q_number
@@ -40,13 +40,12 @@ def test_engine_degenerate():
 
 def test_unknown_theorem():
     with pytest.raises(UnknownTheorem):
-        builder("tel-z", EllipticParams(1, 1, 0.5, 0))
+        builder("tel-z", QCtx(0.5))
 
 
 def test_builder_telc_spec_example():
     # q-specialization with q = 0.5, n = 3: both sides equal [4]_q^2
-    pr = EllipticParams(1, 1, 0.5, 0)
-    pair = builder("tel-c", pr, spec=Q)
+    pair = builder("tel-c", QCtx(0.5))
     assert pair.u(0).to_complex() == pytest.approx(1)
     assert pair.v(0).to_complex() == pytest.approx(0)
     lhs, rhs = telescope_both_sides(pair, 3)
@@ -89,10 +88,8 @@ def test_builder_sides_agree(draws):
 def test_tela_m1_t_matches_even_sum_term(draws):
     # t_k of the m = 1 builder is the even-sum summand at index k + 1
     for _ in range(40):
-        pr = draws.params()
-        pair = builder("tel-a", pr, {"m": 1})
-        from ellid.elliptic import make_context
-        ctx = make_context(pr)
+        ctx = draws.params()
+        pair = builder("tel-a", ctx, {"m": 1})
         for k in range(4):
             t = pair.t_claim(k)
             term = ctx.wt(k) * ctx.num(2, s=k) * ctx.num(k + 1)
@@ -103,8 +100,7 @@ def test_bigid_t_at_unit_parameters(draws):
     # with c = d = g = h = 1 in the q-specialization, t_k = [2(k+1)^2][2k+2]
     for _ in range(25):
         q = draws.q()
-        pr = EllipticParams(1, 1, q, 0)
-        pair = builder("bigid", pr, {"c": 1, "d": 1, "g": 1, "h": 1}, spec=Q)
+        pair = builder("bigid", QCtx(q), {"c": 1, "d": 1, "g": 1, "h": 1})
         P = NumericQ(q)
         for k in range(5):
             t = pair.t_claim(k)
@@ -114,13 +110,11 @@ def test_bigid_t_at_unit_parameters(draws):
 
 def test_reindexing_consistency(draws):
     # the lemma's sum for m = 1 at n - 1 is literally the even-number sum at n
-    from ellid.elliptic import make_context
     for _ in range(25):
-        pr = draws.params()
+        ctx = draws.params()
         n = draws.rng.randint(1, 8)
-        pair = builder("tel-a", pr, {"m": 1})
+        pair = builder("tel-a", ctx, {"m": 1})
         lemma_lhs, _ = telescope_both_sides(pair, n - 1)
-        ctx = make_context(pr)
         shifted = _sumeven_lhs(ctx, {}, n)
         # with v_k = u_{k-1} the partial products cancel, so the lemma sum is
         # sum_k t_k / t_0 and t_0 times it is the reindexed even-number sum
