@@ -27,8 +27,12 @@ or huge parameter values into another:
 
 Every context's num(z) and wt(k) return ScaledComplex values; write
 complex(AQCtx(a, q).num(z)) for a plain number.  FullEllipticCtx validates
-its inputs (|p| < 1, q != 0, and a, b nonzero when p != 0) and every closed
-form needs q != 0; a violation raises ValueError.
+its inputs (|p| < 1, q != 0, and a, b nonzero when p != 0), every closed
+form needs q != 0 and ABQCtx needs b != 0 (it divides by b); a violation
+raises ValueError.
+
+A FullEllipticCtx memoises theta for its lifetime; the identity path builds
+one per side of a check.
 
 A parameter shift a -> a q^(2s), b -> b q^s is the s argument of num and
 wt; the power q^s is materialized at evaluation time through the single
@@ -36,6 +40,8 @@ principal-branch power convention of cpow.
 """
 
 from __future__ import annotations
+
+import math
 
 from ._scaled import ONE, ScaledComplex, cpow, sc
 from .errors import PoleProximity
@@ -49,6 +55,12 @@ class FullEllipticCtx:
     base q^x with logq = x * Log q; exponents then combine symbolically
     instead of through the principal branch of the materialized base.  The
     caller guarantees q == exp(logq).
+
+    A context memoises theta_scaled for its lifetime, keyed by the exact
+    representation of the argument, so a repeated factor such as theta(q) or
+    theta(a/b) is computed once and gets the value a fresh call would give.
+    The identity path builds one context per side of a check, so the two
+    sides never share a memo.
     """
 
     def __init__(self, a, b, q, p, cfg: ThetaConfig = DEFAULT_CONFIG,
@@ -65,6 +77,7 @@ class FullEllipticCtx:
             raise ValueError("a and b must be nonzero when p != 0")
         self.cfg = cfg
         self._logq = logq
+        self._theta = {}
 
     def qpow(self, z) -> ScaledComplex:
         if self._logq is None:
@@ -74,14 +87,30 @@ class FullEllipticCtx:
         return ScaledComplex.from_exp(complex(z.real * w.real - z.imag * w.imag,
                                               z.real * w.imag + z.imag * w.real))
 
+    def _theta_of(self, x: ScaledComplex):
+        """(theta(x; p), min |factor|), computed once per argument.
+
+        The key tells signed zeros apart: complex(-3, 0.0) and
+        complex(-3, -0.0) compare and hash equal, yet lie on either side of
+        the branch cut of the logarithm inside theta_scaled.  A NaN key never
+        hits, so it is recomputed.
+        """
+        m = x.m
+        key = (x.e, m.real, m.imag,
+               math.copysign(1.0, m.real), math.copysign(1.0, m.imag))
+        hit = self._theta.get(key)
+        if hit is None:
+            hit = self._theta[key] = theta_scaled(x, self.p, self.cfg)
+        return hit
+
     def _tquot(self, nums, dens) -> ScaledComplex:
         top = ONE
         for x in nums:
-            val, _ = theta_scaled(x, self.p, self.cfg)
+            val, _ = self._theta_of(x)
             top = top * val
         bot = ONE
         for x in dens:
-            val, mf = theta_scaled(x, self.p, self.cfg)
+            val, mf = self._theta_of(x)
             if mf < POLE_TOL:
                 raise PoleProximity(
                     f"denominator theta factor within {POLE_TOL:g} of zero "
@@ -145,6 +174,8 @@ class ABQCtx(_ClosedFormCtx):
         super().__init__(q)
         self.a = complex(a)
         self.b = complex(b)
+        if self.b == 0:
+            raise ValueError("b must be nonzero")
 
     def _shifted_ab(self, s):
         qs = self.qpow(s)

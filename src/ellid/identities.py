@@ -1059,13 +1059,17 @@ class VerificationResult:
 
 def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, cfg: ThetaConfig,
                 exact: bool = False):
-    """Raw (lhs, rhs) values; poles surface as DomainRejected."""
+    """Raw (lhs, rhs) values; poles surface as DomainRejected.
+
+    Each side gets its own environment.  A full-elliptic context memoises
+    theta; one shared by both sides would let a wrong memoised value enter
+    both alike, where it could cancel in the comparison.
+    """
     if n < desc.min_n:
         raise DomainRejected(f"{desc.id} needs n >= {desc.min_n}")
-    env = desc.env(params, cfg, exact)
     try:
-        lhs = desc.lhs(env, params, n)
-        rhs = desc.rhs(env, params, n)
+        lhs = desc.lhs(desc.env(params, cfg, exact), params, n)
+        rhs = desc.rhs(desc.env(params, cfg, exact), params, n)
     except (PoleProximity, DivisionByZeroFactor, ZeroDivisionError) as exc:
         raise DomainRejected(str(exc)) from exc
     return lhs, rhs
@@ -1175,9 +1179,9 @@ def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
     """Parent evaluator: the parent's shapes in a limit environment.
 
     env(prm, cfg, exact) builds what the shapes evaluate over (a limit
-    context, a q-provider or the theta config).  scale(P, prm, n) is the
-    normalizing prefactor over the q-provider P for prm["q"]; both sides are
-    multiplied by it.
+    context, a q-provider or the theta config), once per side, as in
+    _eval_sides.  scale(P, prm, n) is the normalizing prefactor over the
+    q-provider P for prm["q"]; both sides are multiplied by it.
     """
 
     def sides(prm, n, cfg, exact):
@@ -1185,9 +1189,9 @@ def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
         np_ = n if n_map is None else n_map(n)
         pp = prm if prm_map is None else prm_map(prm)
         if scale is None:
-            return shape_lhs(e, pp, np_), shape_rhs(e, pp, np_)
+            return shape_lhs(e, pp, np_), shape_rhs(env(prm, cfg, exact), pp, np_)
         s = scale(_q_env(prm, cfg, exact), prm, n)
-        return shape_lhs(e, pp, np_) * s, shape_rhs(e, pp, np_) * s
+        return shape_lhs(e, pp, np_) * s, shape_rhs(env(prm, cfg, exact), pp, np_) * s
 
     return sides
 

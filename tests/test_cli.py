@@ -129,6 +129,7 @@ def test_sweep_small(tmp_path, capsys):
      "a and b must be nonzero when p != 0"),
     (["--id", "tel-b", "--n", "3", "--param", "m=0"],
      "needs m of kind positive-integer"),
+    (["--id", "tel-c-ab", "--n", "3", "--param", "b=0"], "b must be nonzero"),
 ])
 def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
     assert main(["verify", *argv]) == 2

@@ -6,6 +6,7 @@ from ellid._scaled import cpow, sc
 from ellid.elliptic import (ABQCtx, AQCtx, BQCtx, FullEllipticCtx, QCtx,
                             _quad_rel_terms, quad_rel_residual)
 from ellid.errors import PoleProximity
+from ellid.theta import theta_scaled
 
 
 def test_params_validate():
@@ -20,6 +21,20 @@ def test_params_validate():
                  lambda: BQCtx(1, 0), lambda: QCtx(0)):
         with pytest.raises(ValueError):
             make()                        # q = 0 in a closed form
+    with pytest.raises(ValueError):
+        ABQCtx(1, 0, 0.5)                 # b = 0: the closed form divides by b
+    ABQCtx(0, 1, 0.5)                     # a = 0 is a legal point
+
+
+def test_theta_memo_keeps_signed_zeros_apart():
+    # complex(-3, 0.0) == complex(-3, -0.0), but theta_scaled puts them on
+    # either side of the logarithm's branch cut; the memo must not mix them
+    ctx = FullEllipticCtx(1, 1, 2, 0.3)
+    pos, _ = ctx._theta_of(sc(complex(-3, 0.0)))
+    val, mf = ctx._theta_of(sc(complex(-3, -0.0)))
+    ref, ref_mf = theta_scaled(complex(-3, -0.0), 0.3)
+    assert (val.e, repr(val.m), mf) == (ref.e, repr(ref.m), ref_mf)
+    assert repr(val.m) != repr(pos.m)
 
 
 def test_number_examples():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ellid.elliptic
 import ellid.identities
 from ellid._scaled import cpow
 from ellid.errors import (DomainRejected, ModeUnsupported, UnknownEdge,
@@ -11,7 +12,7 @@ from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, catalog, edges,
                               eval_exact, evaluate, get_identity,
                               reduce_chain_check)
 from ellid.qexact import ExactQ, LaurentPoly, RationalFn, q_number
-from ellid.theta import DEFAULT_CONFIG, factorial_scaled
+from ellid.theta import DEFAULT_CONFIG, factorial_scaled, theta_scaled
 
 REQUIRED_IDS = [
     "geo", "basic-g", "bigid", "bigid-hyper", "sum-cubes", "spc-4i", "spc-4ii",
@@ -222,3 +223,48 @@ def test_domain_rejects_poles():
 def test_exact_domain_rejects_degenerate_integers():
     with pytest.raises(DomainRejected):
         evaluate("spc-2", {"c": 0, "d": 1, "g": 1, "h": 1}, 2, MODE_EXACT_Q)
+
+
+def test_full_elliptic_sides_memoise_theta(monkeypatch):
+    # each side builds its own context, and within a side no theta argument
+    # is computed twice
+    from ellid.harness import SampleConfig, sample_edge_params, sample_params
+    sample_cfg = SampleConfig(seed=42, trials=1)
+    pinned = {"tel-a": {"m": 2}, "tel-b": {"m": 2}}
+    ids = ["tel-c", "tel-a", "tel-b", "sum-even", "m3rising", "basic-g", "bigid"]
+    draws = {i: sample_params(i, sample_cfg, 0, 4, fixed=pinned.get(i)) for i in ids}
+    edge_prm = sample_edge_params("tel-a", "m3rising", sample_cfg, 0, 4)
+
+    sides = []  # the theta arguments of each environment built, in order
+
+    def record(x, p, cfg=DEFAULT_CONFIG):
+        sides[-1].append((x.e, repr(x.m)))
+        return theta_scaled(x, p, cfg)
+
+    def one_env_per_side(ident):
+        desc = get_identity(ident)
+
+        def env(prm, cfg, exact):
+            sides.append([])
+            return desc.env(prm, cfg, exact)
+
+        monkeypatch.setitem(ellid.identities._CATALOG, ident,
+                            dataclasses.replace(desc, env=env))
+
+    monkeypatch.setattr(ellid.elliptic, "theta_scaled", record)
+    for ident in ids:
+        one_env_per_side(ident)
+        sides.clear()
+        assert evaluate(ident, draws[ident], 4).passed, ident
+        assert len(sides) == 2, ident
+        for keys in sides:
+            assert keys and len(set(keys)) == len(keys), ident
+
+    # the edge's parent sides take the (wrapped) parent's env, built per side
+    edge = ellid.identities._build_edges()[("tel-a", "m3rising")]
+    monkeypatch.setitem(ellid.identities._EDGES, ("tel-a", "m3rising"), edge)
+    sides.clear()
+    assert reduce_chain_check("tel-a", "m3rising", edge_prm, 4).passed
+    assert len(sides) == 4  # parent lhs, parent rhs, child lhs, child rhs
+    for keys in sides:
+        assert keys and len(set(keys)) == len(keys)
