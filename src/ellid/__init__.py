@@ -17,14 +17,14 @@ from .identities import (IdentityDescriptor, VerificationResult, catalog,
                          edges, eval_exact, evaluate, reduce_chain_check)
 from .qexact import LaurentPoly, RationalFn, q_binomial, q_number
 from .telescope import TelescopePair, builder, telescope_both_sides
-from .theta import ThetaConfig, shifted_factorial, theta, theta_prod
+from .theta import shifted_factorial, theta, theta_prod
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ABQCtx", "AQCtx", "BQCtx", "FullEllipticCtx", "IdentityDescriptor",
     "LaurentPoly", "QCtx", "RationalFn", "SampleConfig", "SuiteReport",
-    "TelescopePair", "ThetaConfig", "VerificationResult",
+    "TelescopePair", "VerificationResult",
     "builder", "catalog", "edges", "eval_exact", "evaluate",
     "q_binomial", "q_number", "quad_rel_residual", "reduce_chain_check",
     "run_suite", "sample_params", "shifted_factorial", "telescope_both_sides",

@@ -2,9 +2,9 @@
 
     ellid list
     ellid verify --id ID --n N [--trials T] [--seed S] [--tol X]
-                 [--theta-terms K] [--mode auto|exact|numeric]
-                 [--param name=re,im ...] [--json PATH]
-    ellid sweep --n-max N --trials T --seed S [--json PATH]
+                 [--mode auto|exact|numeric] [--param name=re,im ...]
+                 [--json PATH]
+    ellid sweep [--n-max N] [--trials T] [--seed S] [--tol X] [--json PATH]
 
 Exit status: 0 if every check passed, 1 on any verification failure,
 2 on a configuration error.  ELLID_SEED overrides the default seed.
@@ -19,11 +19,10 @@ import sys
 import time
 
 from .errors import EllidError
-from .harness import (DEFAULT_TOL, SampleConfig, SuiteReport, result_record,
-                      run_suite, _check_tol, _sampled_check)
+from .harness import (DEFAULT_TOL, THETA_CONFIG, SampleConfig, SuiteReport,
+                      result_record, run_suite, _check_tol, _sampled_check)
 from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
                          _exact_mode, catalog, evaluate, get_identity)
-from .theta import ThetaConfig
 
 
 def _default_seed() -> int:
@@ -105,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=20)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    v.add_argument("--theta-terms", type=int, default=64)
     v.add_argument("--mode", choices=["auto", "exact", "numeric"], default="auto")
     v.add_argument("--param", action="append", type=_parse_param, default=[],
                    metavar="name=re,im")
@@ -116,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=10)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    s.add_argument("--theta-terms", type=int, default=64)
     s.add_argument("--json", dest="json_path", default=None)
     return ap
 
@@ -133,7 +130,6 @@ def _cmd_verify(args) -> int:
     desc = get_identity(args.ident)
     _check_tol(args.tol)
     seed = args.seed if args.seed is not None else _default_seed()
-    theta_cfg = ThetaConfig(max_terms=args.theta_terms)
     cfg = SampleConfig(seed=seed, trials=args.trials)
 
     if args.mode == "exact":
@@ -147,18 +143,16 @@ def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     records = []
     if mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL):
-        res = evaluate(desc, fixed, args.n, mode, theta_cfg, args.tol)
+        res = evaluate(desc, fixed, args.n, mode, args.tol)
         records.append(result_record(res))
     else:
         for trial in range(args.trials):
-            res = _sampled_check(desc, cfg, trial, args.n, theta_cfg, args.tol,
-                                 fixed)
+            res = _sampled_check(desc, cfg, trial, args.n, args.tol, fixed)
             records.append(result_record(res))
 
     report = SuiteReport(config={"sample": cfg.to_dict(), "tol": args.tol,
                                  "n": args.n, "id": desc.id, "mode": args.mode,
-                                 "theta": {"max_terms": theta_cfg.max_terms,
-                                           "tail_tol": theta_cfg.tail_tol}},
+                                 "theta": dict(THETA_CONFIG)},
                          results=records,
                          timings={"total_seconds": time.monotonic() - t0})
     if args.json_path:
@@ -174,11 +168,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    theta_cfg = ThetaConfig(max_terms=args.theta_terms)
     cfg = SampleConfig(seed=seed, trials=args.trials)
     ids = [d.id for d in catalog()]
-    report = run_suite(ids, args.n_max, cfg, args.tol, theta_cfg,
-                       include_edges=True)
+    report = run_suite(ids, args.n_max, cfg, args.tol, include_edges=True)
     if args.json_path:
         with open(args.json_path, "w") as fh:
             fh.write(report.to_json())

@@ -45,16 +45,11 @@ import math
 
 from ._scaled import ONE, ScaledComplex, cpow, sc
 from .errors import PoleProximity
-from .theta import DEFAULT_CONFIG, POLE_TOL, ThetaConfig, theta_scaled
+from .theta import POLE_TOL, theta_scaled
 
 
 class FullEllipticCtx:
     """Elliptic numbers/weights as theta quotients (any nome, incl. p = 0).
-
-    An explicit logq may be supplied when the base is itself a power, e.g.
-    base q^x with logq = x * Log q; exponents then combine symbolically
-    instead of through the principal branch of the materialized base.  The
-    caller guarantees q == exp(logq).
 
     A context memoises theta_scaled for its lifetime, keyed by the exact
     representation of the argument, so a repeated factor such as theta(q) or
@@ -63,8 +58,7 @@ class FullEllipticCtx:
     sides never share a memo.
     """
 
-    def __init__(self, a, b, q, p, cfg: ThetaConfig = DEFAULT_CONFIG,
-                 logq: complex | None = None):
+    def __init__(self, a, b, q, p):
         self.a = complex(a)
         self.b = complex(b)
         self.q = complex(q)
@@ -75,17 +69,10 @@ class FullEllipticCtx:
             raise ValueError("q must be nonzero")
         if self.p != 0 and (self.a == 0 or self.b == 0):
             raise ValueError("a and b must be nonzero when p != 0")
-        self.cfg = cfg
-        self._logq = logq
         self._theta = {}
 
     def qpow(self, z) -> ScaledComplex:
-        if self._logq is None:
-            return cpow(self.q, z)
-        z = complex(z)
-        w = self._logq
-        return ScaledComplex.from_exp(complex(z.real * w.real - z.imag * w.imag,
-                                              z.real * w.imag + z.imag * w.real))
+        return cpow(self.q, z)
 
     def _theta_of(self, x: ScaledComplex):
         """(theta(x; p), min |factor|), computed once per argument.
@@ -100,7 +87,7 @@ class FullEllipticCtx:
                math.copysign(1.0, m.real), math.copysign(1.0, m.imag))
         hit = self._theta.get(key)
         if hit is None:
-            hit = self._theta[key] = theta_scaled(x, self.p, self.cfg)
+            hit = self._theta[key] = theta_scaled(x, self.p)
         return hit
 
     def _tquot(self, nums, dens) -> ScaledComplex:

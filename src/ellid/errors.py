@@ -10,7 +10,7 @@ class ZeroArgument(EllidError):
 
 
 class TruncationNotConverged(EllidError):
-    """Theta tail bound not met within the configured number of terms."""
+    """Theta tail bound not met within theta.MAX_TERMS terms."""
 
 
 class DivisionByZeroFactor(EllidError):

@@ -39,10 +39,12 @@ from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
                          VerificationResult, _exact_mode, edges, evaluate,
                          get_edge, get_identity, reduce_chain_check)
 from .qexact import RationalFn
-from .theta import POLE_TOL, ThetaConfig, truncation_terms
+from .theta import MAX_TERMS, POLE_TOL, TAIL_TOL
 
 DEFAULT_TOL = 1e-8
 EDGE_TOL = 1e-10
+#: the theta truncation every report records
+THETA_CONFIG = {"max_terms": MAX_TERMS, "tail_tol": TAIL_TOL}
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,7 @@ def _first_admissible(rng: _CounterRng, signature, cfg: SampleConfig,
         f"no admissible draw for {what} within {cfg.max_resamples} resamples")
 
 
-def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int,
-                   theta_cfg: ThetaConfig, tol: float,
+def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int, tol: float,
                    fixed: dict | None = None) -> VerificationResult:
     """Numeric check of an identity at its first admissible draw."""
     desc = get_identity(ident)
@@ -169,12 +170,11 @@ def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int,
     rng = _CounterRng(cfg.seed, desc.id, n, trial_index)
     return _first_admissible(
         rng, desc.param_signature, cfg, desc.id, fixed,
-        lambda prm: evaluate(desc, prm, n, MODE_NUMERIC, theta_cfg, tol, trial_index),
+        lambda prm: evaluate(desc, prm, n, MODE_NUMERIC, tol, trial_index),
         f"{desc.id} (n={n}, trial={trial_index})")
 
 
 def sample_params(ident, cfg: SampleConfig, trial_index: int, n: int = 4,
-                  theta_cfg: ThetaConfig = ThetaConfig(),
                   fixed: dict | None = None) -> dict:
     """First admissible parameter draw for (identity, n, trial_index).
 
@@ -184,8 +184,7 @@ def sample_params(ident, cfg: SampleConfig, trial_index: int, n: int = 4,
     and `ellid verify` report the evaluation that accepted the draw instead
     of evaluating these parameters again.
     """
-    return _sampled_check(ident, cfg, trial_index, n, theta_cfg, DEFAULT_TOL,
-                          fixed).params
+    return _sampled_check(ident, cfg, trial_index, n, DEFAULT_TOL, fixed).params
 
 
 def _edge_signature(edge) -> tuple:
@@ -202,8 +201,7 @@ def _edge_signature(edge) -> tuple:
 
 
 def _sampled_edge_check(parent_id: str, child_id: str, cfg: SampleConfig,
-                        trial_index: int, n: int,
-                        theta_cfg: ThetaConfig) -> VerificationResult:
+                        trial_index: int, n: int) -> VerificationResult:
     """Degeneration-edge check at its first admissible draw."""
     edge = get_edge(parent_id, child_id)
     lo = max(edge.min_n, get_identity(child_id).min_n)
@@ -212,17 +210,15 @@ def _sampled_edge_check(parent_id: str, child_id: str, cfg: SampleConfig,
     rng = _CounterRng(cfg.seed, f"{parent_id}->{child_id}", n, trial_index)
     return _first_admissible(
         rng, _edge_signature(edge), cfg, child_id, None,
-        lambda prm: reduce_chain_check(parent_id, child_id, prm, n, cfg=theta_cfg,
+        lambda prm: reduce_chain_check(parent_id, child_id, prm, n,
                                        tol=EDGE_TOL, trial=trial_index),
         f"edge {parent_id}->{child_id} (n={n}, trial={trial_index})")
 
 
 def sample_edge_params(parent_id: str, child_id: str, cfg: SampleConfig,
-                       trial_index: int, n: int,
-                       theta_cfg: ThetaConfig = ThetaConfig()) -> dict:
+                       trial_index: int, n: int) -> dict:
     """Admissible draw for a degeneration edge (both endpoints evaluable)."""
-    return _sampled_edge_check(parent_id, child_id, cfg, trial_index, n,
-                               theta_cfg).params
+    return _sampled_edge_check(parent_id, child_id, cfg, trial_index, n).params
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +314,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
-def _check_theta_terms(cfg: SampleConfig, theta_cfg: ThetaConfig) -> None:
-    """Reject a theta truncation too short for some draw of the nome box.
-
-    The worst draw has |p| = p_radius and, after the quasi-periodicity
-    reduction, |a| = |p|; every other draw needs at most as many terms.
-    """
-    if cfg.p_radius == 0.0:
-        return
-    need = truncation_terms(cfg.p_radius, cfg.p_radius, theta_cfg.tail_tol)
-    if need > theta_cfg.max_terms:
-        raise ValueError(f"p_radius = {cfg.p_radius} needs theta max_terms >= {need}, "
-                         f"got {theta_cfg.max_terms}")
-
-
 def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
-              theta_cfg: ThetaConfig = ThetaConfig(),
               include_edges: bool = False) -> SuiteReport:
     """Verify each identity for n in [0, n_max] over cfg.trials random draws.
 
@@ -343,12 +324,13 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
     Per-trial failures (including resampling exhaustion) are recorded in the
     report with the mode the check would have run in, never raised; a
     configuration that could only fail part-way (n_max < 0, tol outside
-    (0, 1), too few theta terms for the nome box) raises ValueError first.
+    (0, 1)) raises ValueError first.  Theta products follow the 1e-14 tail
+    rule, which every nome box SampleConfig allows meets within
+    theta.MAX_TERMS terms.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     _check_tol(tol)
-    _check_theta_terms(cfg, theta_cfg)
     t0 = time.monotonic()
     descs = [get_identity(i) for i in ids]
     tasks = []
@@ -372,17 +354,17 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
         mode = MODE_NUMERIC
         try:
             if kind == "id":
-                res = _sampled_check(ident, cfg, trial, n, theta_cfg, tol)
+                res = _sampled_check(ident, cfg, trial, n, tol)
             elif kind == "exact":
                 desc = get_identity(ident)
                 mode = _exact_mode(desc)
                 prm = _exact_sidecar_params(desc, cfg, n)
                 if prm is None:
                     raise ResamplingExhausted(f"no admissible exact parameters for {ident}")
-                res = evaluate(ident, prm, n, mode, theta_cfg, tol)
+                res = evaluate(ident, prm, n, mode, tol)
             else:
                 parent, child = ident.split("->")
-                res = _sampled_edge_check(parent, child, cfg, trial, n, theta_cfg)
+                res = _sampled_edge_check(parent, child, cfg, trial, n)
             return result_record(res)
         except (DomainRejected, ResamplingExhausted, ModeUnsupported) as exc:
             return {"id": ident, "mode": mode, "n": n, "trial": trial,
@@ -392,8 +374,7 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
 
     records = [run_one(t) for t in tasks]
     return SuiteReport(config={"sample": cfg.to_dict(),
-                               "theta": {"max_terms": theta_cfg.max_terms,
-                                         "tail_tol": theta_cfg.tail_tol},
+                               "theta": dict(THETA_CONFIG),
                                "tol": tol, "n_max": n_max,
                                "ids": [d.id for d in descs],
                                "edges": include_edges},

@@ -38,7 +38,7 @@ from .elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx,
 from .errors import (DivisionByZeroFactor, DomainRejected, ModeUnsupported,
                      PoleProximity, UnknownEdge, UnknownIdentity)
 from .qexact import ExactQ, RationalFn
-from .theta import DEFAULT_CONFIG, POLE_TOL, ThetaConfig, factorial_scaled, theta_scaled
+from .theta import POLE_TOL, factorial_scaled, theta_scaled
 
 MODE_NUMERIC = "numeric-elliptic"
 MODE_EXACT_Q = "exact-q"
@@ -572,39 +572,38 @@ def _bigid_rhs(ctx, prm, n):
 class _Slot:
     """Running shifted factorial (x; base, p)_k, advanced one index at a time."""
 
-    __slots__ = ("arg", "base", "p", "cfg", "val", "guard")
+    __slots__ = ("arg", "base", "p", "val", "guard")
 
-    def __init__(self, cfg: ThetaConfig, x, base, p, guard: bool = False):
+    def __init__(self, x, base, p, guard: bool = False):
         self.arg = sc(x)
         self.base = base
         self.p = complex(p)
-        self.cfg = cfg
         self.val = ONE
         self.guard = guard
 
     def step(self):
-        v, mf = theta_scaled(self.arg, self.p, self.cfg)
+        v, mf = theta_scaled(self.arg, self.p)
         if self.guard and mf < POLE_TOL:
             raise PoleProximity("denominator factorial factor within pole tolerance")
         self.val = self.val * v
         self.arg = self.arg * self.base
 
 
-def _fact(cfg: ThetaConfig, x, base, p, k: int, guard: bool = False) -> ScaledComplex:
-    val, mf = factorial_scaled(x, base, p, k, cfg)
+def _fact(x, base, p, k: int, guard: bool = False) -> ScaledComplex:
+    val, mf = factorial_scaled(x, base, p, k)
     if guard and mf < POLE_TOL:
         raise PoleProximity("denominator factorial factor within pole tolerance")
     return val
 
 
-def _theta_den(cfg: ThetaConfig, x, p) -> ScaledComplex:
-    val, mf = theta_scaled(x, p, cfg)
+def _theta_den(x, p) -> ScaledComplex:
+    val, mf = theta_scaled(x, p)
     if mf < POLE_TOL:
         raise PoleProximity("denominator theta within pole tolerance of zero")
     return val
 
 
-def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
+def _slot_sum(p, ks, tops, den0, nums, dens, weight):
     """Sum over k in ks of prod theta(tops) / den0 * prod nums / prod dens * weight(k).
 
     Each top is (x, mults): theta(x; p), with x multiplied by each of mults
@@ -614,12 +613,12 @@ def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
     so a denominator pole one index past the sum rejects the draw.
     """
     slots = {}
-    num = [slots.setdefault((x, b, False), _Slot(env, x, b, p)) for x, b in nums]
-    den = [slots.setdefault((x, b, True), _Slot(env, x, b, p, True)) for x, b in dens]
+    num = [slots.setdefault((x, b, False), _Slot(x, b, p)) for x, b in nums]
+    den = [slots.setdefault((x, b, True), _Slot(x, b, p, True)) for x, b in dens]
     xs = [sc(x) for x, _ in tops]
     tot = _Sum()
     for k in ks:
-        term = reduce(mul, [theta_scaled(x, p, env)[0] for x in xs]) / den0
+        term = reduce(mul, [theta_scaled(x, p)[0] for x in xs]) / den0
         term = reduce(mul, [s.val for s in num], term)
         tot.add(term / reduce(mul, [s.val for s in den]) * weight(k))
         for s in slots.values():
@@ -630,23 +629,23 @@ def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
 
 def _indef1_lhs(env, prm, n):
     a, b, q = prm["a"], prm["b"], prm["q"]
-    return _slot_sum(env, 0, range(n + 1), [(a, (q, q))], _theta_den(env, a, 0),
+    return _slot_sum(0, range(n + 1), [(a, (q, q))], _theta_den(a, 0),
                      [(a, q), (b, q)], [(q, q), (a * q / b, q)],
                      lambda k: cpow(b, n - k))
 
 
 def _indef1_rhs(env, prm, n):
     a, b, q = prm["a"], prm["b"], prm["q"]
-    return (_fact(env, a * q, q, 0, n) * _fact(env, b * q, q, 0, n)
-            / _fact(env, q, q, 0, n, guard=True)
-            / _fact(env, a * q / b, q, 0, n, guard=True))
+    return (_fact(a * q, q, 0, n) * _fact(b * q, q, 0, n)
+            / _fact(q, q, 0, n, guard=True)
+            / _fact(a * q / b, q, 0, n, guard=True))
 
 
 def _eindef1_lhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
     p2 = p * p
     qi = 1.0 / q
-    return _slot_sum(env, p2, range(n + 1), [(a, (q, q))], _theta_den(env, a, p2),
+    return _slot_sum(p2, range(n + 1), [(a, (q, q))], _theta_den(a, p2),
                      [(a, q), (b, q), (c * p, q), (b * c * p / a, qi)],
                      [(q, q), (a * q / b, q), (b * c * p * q, q), (c * p / (a * q), qi)],
                      lambda k: cpow(b, n - k))
@@ -656,18 +655,18 @@ def _eindef1_rhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
     p2 = p * p
     qi = 1.0 / q
-    return (_fact(env, a * q, q, p2, n) * _fact(env, b * q, q, p2, n)
-            * _fact(env, c * p * q, q, p2, n)
-            / _fact(env, q, q, p2, n, guard=True)
-            / _fact(env, a * q / b, q, p2, n, guard=True)
-            / _fact(env, b * c * p * q, q, p2, n, guard=True)
-            * _fact(env, b * c * p / (a * q), qi, p2, n)
-            / _fact(env, c * p / (a * q), qi, p2, n, guard=True))
+    return (_fact(a * q, q, p2, n) * _fact(b * q, q, p2, n)
+            * _fact(c * p * q, q, p2, n)
+            / _fact(q, q, p2, n, guard=True)
+            / _fact(a * q / b, q, p2, n, guard=True)
+            / _fact(b * c * p * q, q, p2, n, guard=True)
+            * _fact(b * c * p / (a * q), qi, p2, n)
+            / _fact(c * p / (a * q), qi, p2, n, guard=True))
 
 
 def _ftindef_lhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
-    return _slot_sum(env, p, range(n + 1), [(a, (q, q))], _theta_den(env, a, p),
+    return _slot_sum(p, range(n + 1), [(a, (q, q))], _theta_den(a, p),
                      [(a, q), (b, q), (c, q), (a / (b * c), q)],
                      [(q, q), (a * q / b, q), (a * q / c, q), (b * c * q, q)],
                      lambda k: cpow(q, k))
@@ -675,12 +674,12 @@ def _ftindef_lhs(env, prm, n):
 
 def _ftindef_rhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
-    return (_fact(env, a * q, q, p, n) * _fact(env, b * q, q, p, n)
-            * _fact(env, c * q, q, p, n) * _fact(env, a * q / (b * c), q, p, n)
-            / _fact(env, q, q, p, n, guard=True)
-            / _fact(env, a * q / b, q, p, n, guard=True)
-            / _fact(env, a * q / c, q, p, n, guard=True)
-            / _fact(env, b * c * q, q, p, n, guard=True))
+    return (_fact(a * q, q, p, n) * _fact(b * q, q, p, n)
+            * _fact(c * q, q, p, n) * _fact(a * q / (b * c), q, p, n)
+            / _fact(q, q, p, n, guard=True)
+            / _fact(a * q / b, q, p, n, guard=True)
+            / _fact(a * q / c, q, p, n, guard=True)
+            / _fact(b * c * q, q, p, n, guard=True))
 
 
 def _wce_lhs(env, prm, n):
@@ -690,7 +689,7 @@ def _wce_lhs(env, prm, n):
     q2 = q * q
     q3 = q2 * q
     # (q^2; q, p^2)_{k-1} and (q; q, p^2)_{k-1} enter squared
-    return _slot_sum(env, p2, range(1, n + 1), [(q2, (q2,))], _theta_den(env, q2, p2),
+    return _slot_sum(p2, range(1, n + 1), [(q2, (q2,))], _theta_den(q2, p2),
                      [(q2, q), (q2, q), (c * p, q), (c * p, qi)],
                      [(q, q), (q, q), (c * p * q3, q), (c * p / q3, qi)],
                      lambda k: cpow(q, 2 * (n - k)))
@@ -701,12 +700,12 @@ def _wce_rhs(env, prm, n):
     p2 = p * p
     qi = 1.0 / q
     q3 = q * q * q
-    f_q3 = _fact(env, q3, q, p2, n - 1)
-    f_q = _fact(env, q, q, p2, n - 1, guard=True)
-    return (f_q3 * f_q3 * _fact(env, c * p * q, q, p2, n - 1)
-            / (f_q * f_q) / _fact(env, c * p * q3, q, p2, n - 1, guard=True)
-            * _fact(env, c * p / q, qi, p2, n - 1)
-            / _fact(env, c * p / q3, qi, p2, n - 1, guard=True))
+    f_q3 = _fact(q3, q, p2, n - 1)
+    f_q = _fact(q, q, p2, n - 1, guard=True)
+    return (f_q3 * f_q3 * _fact(c * p * q, q, p2, n - 1)
+            / (f_q * f_q) / _fact(c * p * q3, q, p2, n - 1, guard=True)
+            * _fact(c * p / q, qi, p2, n - 1)
+            / _fact(c * p / q3, qi, p2, n - 1, guard=True))
 
 
 def _cubicodds_lhs(env, prm, n):
@@ -716,8 +715,8 @@ def _cubicodds_lhs(env, prm, n):
     one_minus_aq = ONE - sc(a * q)
     if abs(one_minus_q) < POLE_TOL or abs(one_minus_aq) < POLE_TOL:
         raise DomainRejected("1 - q or 1 - aq within pole tolerance")
-    num3 = _Slot(env, a * q, q3, 0)
-    den3 = _Slot(env, a * q**5, q3, 0, guard=True)
+    num3 = _Slot(a * q, q3, 0)
+    den3 = _Slot(a * q**5, q3, 0, guard=True)
     argq = sc(q)        # q^{2k+1}
     arga = sc(a * q)    # a q^{2k+1}
     tot = _Sum()
@@ -741,8 +740,8 @@ def _cubicodds_rhs(env, prm, n):
         raise DomainRejected("1 - q or 1 - aq within pole tolerance")
     qn_ = (ONE - cpow(q, n)) / one_minus_q
     return (qn_ * qn_ * (ONE - sc(a) * cpow(q, n)) / one_minus_aq
-            * _fact(env, a * q**4, q3, 0, n - 1)
-            / _fact(env, a * q**5, q3, 0, n - 1, guard=True)
+            * _fact(a * q**4, q3, 0, n - 1)
+            / _fact(a * q**5, q3, 0, n - 1, guard=True)
             * cpow(q, 1 - n))
 
 
@@ -752,9 +751,8 @@ def _m00_lhs(env, prm, n):
     w = r * s / q
     if abs(sc(d)) < POLE_TOL:
         raise DomainRejected("d within pole tolerance of zero")
-    den0 = (_theta_den(env, a * d, p) * _theta_den(env, b / d, p)
-            * _theta_den(env, c / d, p))
-    return _slot_sum(env, p, range(n + 1),
+    den0 = _theta_den(a * d, p) * _theta_den(b / d, p) * _theta_den(c / d, p)
+    return _slot_sum(p, range(n + 1),
                      [(a * d, (r * s,)), (b / d, (r / q,)), (c / d, (s / q,))], den0,
                      [(a * d * d / (b * c), q), (b, r), (c, s), (a, w)],
                      [(d * q, q), (a * d * r / c, r), (a * d * s / b, s),
@@ -768,24 +766,24 @@ def _m00_rhs(env, prm, n):
     w = r * s / q
     if abs(sc(d)) < POLE_TOL:
         raise DomainRejected("d within pole tolerance of zero")
-    denc = (_theta_den(env, a * d, p) * _theta_den(env, b / d, p)
-            * _theta_den(env, c / d, p) * _theta_den(env, a * d / (b * c), p)) * d
-    t_a, _ = theta_scaled(a, p, env)
-    t_b, _ = theta_scaled(b, p, env)
-    t_c, _ = theta_scaled(c, p, env)
-    t_bal, _ = theta_scaled(a * d * d / (b * c), p, env)
+    denc = (_theta_den(a * d, p) * _theta_den(b / d, p)
+            * _theta_den(c / d, p) * _theta_den(a * d / (b * c), p)) * d
+    t_a, _ = theta_scaled(a, p)
+    t_b, _ = theta_scaled(b, p)
+    t_c, _ = theta_scaled(c, p)
+    t_bal, _ = theta_scaled(a * d * d / (b * c), p)
     first = (t_a * t_b * t_c * t_bal / denc
-             * _fact(env, a * d * d * q / (b * c), q, p, n)
-             * _fact(env, b * r, r, p, n) * _fact(env, c * s, s, p, n)
-             * _fact(env, a * w, w, p, n)
-             / _fact(env, d * q, q, p, n, guard=True)
-             / _fact(env, a * d * r / c, r, p, n, guard=True)
-             / _fact(env, a * d * s / b, s, p, n, guard=True)
-             / _fact(env, b * c * r * s / (d * q), w, p, n, guard=True))
-    t_d, _ = theta_scaled(d, p, env)
-    t_adb, _ = theta_scaled(a * d / b, p, env)
-    t_adc, _ = theta_scaled(a * d / c, p, env)
-    t_bcd, _ = theta_scaled(b * c / d, p, env)
+             * _fact(a * d * d * q / (b * c), q, p, n)
+             * _fact(b * r, r, p, n) * _fact(c * s, s, p, n)
+             * _fact(a * w, w, p, n)
+             / _fact(d * q, q, p, n, guard=True)
+             / _fact(a * d * r / c, r, p, n, guard=True)
+             / _fact(a * d * s / b, s, p, n, guard=True)
+             / _fact(b * c * r * s / (d * q), w, p, n, guard=True))
+    t_d, _ = theta_scaled(d, p)
+    t_adb, _ = theta_scaled(a * d / b, p)
+    t_adc, _ = theta_scaled(a * d / c, p)
+    t_bcd, _ = theta_scaled(b * c / d, p)
     second = t_d * t_adb * t_adc * t_bcd / denc
     return _guard_diff(first, second)
 
@@ -837,31 +835,33 @@ def _sumcubes_rhs(env, prm, n):
 # descriptors and catalog
 # ---------------------------------------------------------------------------
 
-# Each builder env(params, cfg, exact) returns what an identity's evaluators
-# run over: a q-provider, a specialization context, or the theta config.
+# Each builder env(params, exact) returns what an identity's evaluators run
+# over: a q-provider or a specialization context.  The theta-factorial and
+# rational identities call theta and plain arithmetic directly, so theirs is
+# None.
 
-def _q_env(prm, cfg, exact):
+def _q_env(prm, exact):
     return ExactQ() if exact else NumericQ(prm["q"])
 
 
-def _full_env(prm, cfg, exact):
-    return FullEllipticCtx(prm["a"], prm["b"], prm["q"], prm["p"], cfg)
+def _full_env(prm, exact):
+    return FullEllipticCtx(prm["a"], prm["b"], prm["q"], prm["p"])
 
 
-def _abq_env(prm, cfg, exact):
+def _abq_env(prm, exact):
     return ABQCtx(prm["a"], prm["b"], prm["q"])
 
 
-def _aq_env(prm, cfg, exact):
+def _aq_env(prm, exact):
     return AQCtx(prm["a"], prm["q"])
 
 
-def _bq_env(prm, cfg, exact):
+def _bq_env(prm, exact):
     return BQCtx(prm["b"], prm["q"])
 
 
-def _theta_env(prm, cfg, exact):
-    return cfg
+def _no_env(prm, exact):
+    return None
 
 
 @dataclass(frozen=True)
@@ -871,7 +871,7 @@ class IdentityDescriptor:
     id: str
     title: str
     source: str
-    env: Callable                     # env(params, cfg, exact): what lhs/rhs evaluate over
+    env: Callable                     # env(params, exact): what lhs/rhs evaluate over
     param_signature: tuple            # ((name, kind), ...) kinds: complex / non-negative-integer / positive-integer
     modes: frozenset
     lhs: Callable
@@ -993,29 +993,29 @@ def _build_catalog() -> dict:
 
     # --- theta-factorial identities -----------------------------------------
     add("indef-1", "very-well-poised indefinite q-summation", "Schlosser (2004) indefinite sum",
-        _theta_env, (("a", _CPX), ("b", _CPX), ("q", _CPX)), _NUM, _indef1_lhs, _indef1_rhs)
+        _no_env, (("a", _CPX), ("b", _CPX), ("q", _CPX)), _NUM, _indef1_lhs, _indef1_rhs)
     add("e-indef-1", "elliptic indefinite summation with balancing parameter", "elliptic indefinite sum",
-        _theta_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
+        _no_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
         _NUM, _eindef1_lhs, _eindef1_rhs)
     add("ft-indef", "Frenkel-Turaev summation, e -> a q^(n+1) case", "Frenkel-Turaev 10V9 specialization",
-        _theta_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
+        _no_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
         _NUM, _ftindef_lhs, _ftindef_rhs)
     add("warnaar-cubes-elliptic", "elliptic extension of Warnaar's cube sum", "elliptic indefinite sum at a = b = q^2",
-        _theta_env, (("c", _CPX), ("q", _CPX), ("p", _CPX)), _NUM, _wce_lhs, _wce_rhs,
+        _no_env, (("c", _CPX), ("q", _CPX), ("p", _CPX)), _NUM, _wce_lhs, _wce_rhs,
         min_n=1)
     add("cubic-odds", "cubic basic hypergeometric extension of the odd sum", "cubic-base odd-number sum",
-        _theta_env, (("a", _CPX), ("q", _CPX)), _NUM, _cubicodds_lhs, _cubicodds_rhs)
+        _no_env, (("a", _CPX), ("q", _CPX)), _NUM, _cubicodds_lhs, _cubicodds_rhs)
     add("m00", "Gasper-Schlosser multibasic indefinite summation", "Gasper-Schlosser (2005), Eq. (3.19) at t = q",
-        _theta_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("d", _CPX),
-                ("q", _CPX), ("r", _CPX), ("s", _CPX), ("p", _CPX)),
+        _no_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("d", _CPX),
+                  ("q", _CPX), ("r", _CPX), ("s", _CPX), ("p", _CPX)),
         _NUM, _m00_lhs, _m00_rhs)
 
     # --- rational identities -------------------------------------------------
     add("bigid-hyper", "hypergeometric version of the main identity", "main theorem, classical limit",
-        _theta_env, _SIG_CDGH, _NUM_EXR, _hyper_lhs, _hyper_rhs,
+        _no_env, _SIG_CDGH, _NUM_EXR, _hyper_lhs, _hyper_rhs,
         exact_domain=_cdgh_exact_domain)
     add("sum-cubes", "sum of the first n cubes", "classical",
-        _theta_env, (), _NUM_EXR, _sumcubes_lhs, _sumcubes_rhs)
+        _no_env, (), _NUM_EXR, _sumcubes_lhs, _sumcubes_rhs)
 
     return {d.id: d for d in ids}
 
@@ -1057,8 +1057,7 @@ class VerificationResult:
     trial: Optional[int] = None
 
 
-def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, cfg: ThetaConfig,
-                exact: bool = False):
+def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, exact: bool = False):
     """Raw (lhs, rhs) values; poles surface as DomainRejected.
 
     Each side gets its own environment.  A full-elliptic context memoises
@@ -1068,8 +1067,8 @@ def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, cfg: ThetaConfig
     if n < desc.min_n:
         raise DomainRejected(f"{desc.id} needs n >= {desc.min_n}")
     try:
-        lhs = desc.lhs(desc.env(params, cfg, exact), params, n)
-        rhs = desc.rhs(desc.env(params, cfg, exact), params, n)
+        lhs = desc.lhs(desc.env(params, exact), params, n)
+        rhs = desc.rhs(desc.env(params, exact), params, n)
     except (PoleProximity, DivisionByZeroFactor, ZeroDivisionError) as exc:
         raise DomainRejected(str(exc)) from exc
     return lhs, rhs
@@ -1097,7 +1096,10 @@ def _to_reported(v):
 
 def _exact_mode(desc: IdentityDescriptor) -> str:
     """The exact mode an identity is checked in when exactness is asked for."""
-    return MODE_EXACT_Q if MODE_EXACT_Q in desc.modes else MODE_EXACT_RATIONAL
+    for mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL):
+        if mode in desc.modes:
+            return mode
+    raise ModeUnsupported(f"{desc.id} has no exact mode")
 
 
 def _exact_sides(desc: IdentityDescriptor, params: dict, n: int, mode: str):
@@ -1106,11 +1108,10 @@ def _exact_sides(desc: IdentityDescriptor, params: dict, n: int, mode: str):
         params = {k: Fraction(v) for k, v in params.items()}
     if desc.exact_domain is not None and not desc.exact_domain(params):
         raise DomainRejected(f"{desc.id}: inadmissible exact parameters")
-    return _eval_sides(desc, params, n, DEFAULT_CONFIG, mode == MODE_EXACT_Q)
+    return _eval_sides(desc, params, n, mode == MODE_EXACT_Q)
 
 
-def evaluate(ident, params: dict, n: int, mode: str = "auto",
-             cfg: ThetaConfig = DEFAULT_CONFIG, tol: float = 1e-8,
+def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
              trial: Optional[int] = None) -> VerificationResult:
     """Evaluate both sides of an identity independently and compare.
 
@@ -1125,7 +1126,7 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto",
         raise ModeUnsupported(f"{desc.id} does not support mode {mode!r}")
 
     if mode == MODE_NUMERIC:
-        lv, rv = _eval_sides(desc, params, n, cfg)
+        lv, rv = _eval_sides(desc, params, n)
         abs_err, rel_err = _metrics_numeric(lv, rv)
         return VerificationResult(desc.id, mode, n, _to_reported(lv), _to_reported(rv),
                                   abs_err, rel_err, rel_err <= tol, dict(params), trial)
@@ -1145,8 +1146,6 @@ def eval_exact(ident, n: int, int_params: dict | None = None) -> tuple[RationalF
     """
     desc = get_identity(ident)
     mode = _exact_mode(desc)
-    if not desc.supports(mode):
-        raise ModeUnsupported(f"{desc.id} has no exact mode")
     lv, rv = _exact_sides(desc, dict(int_params or {}), n, mode)
     if mode == MODE_EXACT_Q:
         return lv, rv
@@ -1161,7 +1160,7 @@ def eval_exact(ident, n: int, int_params: dict | None = None) -> tuple[RationalF
 class DegenerationEdge:
     """How a parent identity specializes into a child identity.
 
-    parent_sides(params, n, cfg, exact) evaluates the parent in its
+    parent_sides(params, n, exact) evaluates the parent in its
     hand-derived limit form at the child's parameters, already multiplied by
     the normalizing prefactor the specialization picks up, so the result is
     directly comparable with the child's own evaluators.
@@ -1178,20 +1177,20 @@ class DegenerationEdge:
 def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
     """Parent evaluator: the parent's shapes in a limit environment.
 
-    env(prm, cfg, exact) builds what the shapes evaluate over (a limit
-    context, a q-provider or the theta config), once per side, as in
+    env(prm, exact) builds what the shapes evaluate over (a limit context,
+    a q-provider, or None for the theta-factorial family), once per side, as in
     _eval_sides.  scale(P, prm, n) is the normalizing prefactor over the
     q-provider P for prm["q"]; both sides are multiplied by it.
     """
 
-    def sides(prm, n, cfg, exact):
-        e = env(prm, cfg, exact)
+    def sides(prm, n, exact):
+        e = env(prm, exact)
         np_ = n if n_map is None else n_map(n)
         pp = prm if prm_map is None else prm_map(prm)
         if scale is None:
-            return shape_lhs(e, pp, np_), shape_rhs(env(prm, cfg, exact), pp, np_)
-        s = scale(_q_env(prm, cfg, exact), prm, n)
-        return shape_lhs(e, pp, np_) * s, shape_rhs(env(prm, cfg, exact), pp, np_) * s
+            return shape_lhs(e, pp, np_), shape_rhs(env(prm, exact), pp, np_)
+        s = scale(_q_env(prm, exact), prm, n)
+        return shape_lhs(e, pp, np_) * s, shape_rhs(env(prm, exact), pp, np_) * s
 
     return sides
 
@@ -1208,11 +1207,11 @@ def _build_edges() -> dict:
             sides = _edge(desc.lhs, desc.rhs, env or desc.env, scale, n_map, prm_map)
         E.append(DegenerationEdge(parent, child, note, sides, min_n, exact_ok))
 
-    full0 = lambda prm, cfg, exact: FullEllipticCtx(prm["a"], prm["b"], prm["q"], 0, cfg)
-    qctx = lambda prm, cfg, exact: QCtx(prm["q"])
-    qinv = lambda prm, cfg, exact: QInvCtx(prm["q"])
-    aq_at = lambda aval: (lambda prm, cfg, exact: AQCtx(aval(prm), prm["q"]))
-    bq_at = lambda bval: (lambda prm, cfg, exact: BQCtx(bval(prm), prm["q"]))
+    full0 = lambda prm, exact: FullEllipticCtx(prm["a"], prm["b"], prm["q"], 0)
+    qctx = lambda prm, exact: QCtx(prm["q"])
+    qinv = lambda prm, exact: QInvCtx(prm["q"])
+    aq_at = lambda aval: (lambda prm, exact: AQCtx(aval(prm), prm["q"]))
+    bq_at = lambda bval: (lambda prm, exact: BQCtx(bval(prm), prm["q"]))
     one = lambda prm: 1.0
     q_ = lambda prm: prm["q"]
 
@@ -1275,17 +1274,17 @@ def _build_edges() -> dict:
         lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(3)) * P.qpow(3 * n))
     add("m3rising-aq", "m3rising-q2-aq",
         "q -> q^2 then a = q; multiply by [2]^3 [3]^3 q^(6n)/[6]",
-        lambda prm, cfg, exact: AQCtx(prm["q"], prm["q"] ** 2),
+        lambda prm, exact: AQCtx(prm["q"], prm["q"] ** 2),
         lambda P, prm, n: ((P.qn(2) * P.qn(3)) * (P.qn(2) * P.qn(3))
                            * (P.qn(2) * P.qn(3)) / P.qn_den(6)) * P.qpow(6 * n))
     add("m3rising-aq", "m3rising-q2-a1q",
         "q -> q^2 then a = 1/q; multiply by [2]^3 q^(6n)/[6]",
-        lambda prm, cfg, exact: AQCtx(1.0 / prm["q"], prm["q"] ** 2),
+        lambda prm, exact: AQCtx(1.0 / prm["q"], prm["q"] ** 2),
         lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(6)) * P.qpow(6 * n))
 
     # main identity chain
     add("bigid", "bigid-hyper", "q -> 1 classical limit: [z] -> z, W -> 1",
-        lambda prm, cfg, exact: ClassicalCtx())
+        lambda prm, exact: ClassicalCtx())
     add("bigid", "spc-1", "p -> 0 then b -> 0 closed form", _aq_env)
     add("spc-1", "spc-2", "a -> 0: products collapse into explicit q-powers", qinv)
     add("spc-2", "spc-4i", "c = d = g = 1, h = 0, index shift; scale q^(n-1)",
@@ -1295,7 +1294,7 @@ def _build_edges() -> dict:
         scale=lambda P, prm, n: P.qpow(n * n + n - 2), n_map=lambda n: n - 1,
         prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 1}, min_n=1, exact_ok=True)
 
-    def _cubes_sides(prm, n, cfg, exact):
+    def _cubes_sides(prm, n, exact):
         # cleared polynomial form of the hypergeometric identity at
         # c = d = 0, g = h = 1 (multiply by cd(ch+dg)/2 before the limit)
         lhs = sum(Fraction(k) ** 3 for k in range(n + 1))
@@ -1340,8 +1339,8 @@ def get_edge(parent_id: str, child_id: str) -> DegenerationEdge:
 
 
 def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
-                       mode: str = MODE_NUMERIC, cfg: ThetaConfig = DEFAULT_CONFIG,
-                       tol: float = 1e-10, trial: Optional[int] = None) -> VerificationResult:
+                       mode: str = MODE_NUMERIC, tol: float = 1e-10,
+                       trial: Optional[int] = None) -> VerificationResult:
     """Check a registered degeneration edge at the child's parameters.
 
     Evaluates the parent in its specialized closed form (with the edge's
@@ -1359,10 +1358,10 @@ def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
         raise ModeUnsupported(f"edge {ident} supports only numeric checking")
 
     try:
-        p_lhs, p_rhs = edge.parent_sides(params, n, cfg, exact)
+        p_lhs, p_rhs = edge.parent_sides(params, n, exact)
     except (PoleProximity, DivisionByZeroFactor, ZeroDivisionError) as exc:
         raise DomainRejected(str(exc)) from exc
-    c_lhs, c_rhs = _eval_sides(child, params, n, cfg, exact)
+    c_lhs, c_rhs = _eval_sides(child, params, n, exact)
 
     if exact:
         equal = (p_lhs == c_lhs) and (p_rhs == c_rhs)

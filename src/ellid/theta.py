@@ -15,9 +15,10 @@ with base b and, at p = 0, reduce to the ordinary b-shifted factorials with
 1 - x factors.
 
 Evaluation truncates the product at the first J for which the geometric tail
-bound (|a| + 1/|a| + 2) |p|^J / (1 - |p|) drops below the configured
-tolerance.  Arguments whose magnitude falls outside the annulus |p| < |a| <= 1
-are first brought into it with the exact quasi-periodicity relation
+bound (|a| + 1/|a| + 2) |p|^J / (1 - |p|) drops below TAIL_TOL = 1e-14; a J
+above MAX_TERMS = 512 raises TruncationNotConverged.  Arguments whose
+magnitude falls outside the annulus |p| < |a| <= 1 are first brought into it
+with the exact quasi-periodicity relation
 
     theta(a; p) = (-1)^m a^m p^(m(m-1)/2) theta(a p^m; p),
 
@@ -29,44 +30,31 @@ identity evaluators exact-to-tolerance without extending the product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._scaled import ONE, ScaledComplex, sc
 from .errors import DivisionByZeroFactor, TruncationNotConverged, ZeroArgument
 
 #: a theta factor of smaller magnitude counts as a pole hit
 POLE_TOL = 1e-6
+#: the tail bound a truncated theta product must meet
+TAIL_TOL = 1e-14
+#: most terms a theta product may take; the widest sampled nome box
+#: (|p| <= 0.9) needs at most 341, while |p| = 0.95 needs 714 and raises
+MAX_TERMS = 512
 
 
-@dataclass(frozen=True)
-class ThetaConfig:
-    """Truncation order and tail tolerance for theta products."""
-
-    max_terms: int = 64
-    tail_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
-
-
-DEFAULT_CONFIG = ThetaConfig()
-
-
-def truncation_terms(aa: float, pa: float, tail_tol: float) -> int:
-    """Smallest J >= 1 with (aa + 1/aa + 2) pa^J / (1 - pa) < tail_tol.
+def truncation_terms(aa: float, pa: float) -> int:
+    """Smallest J >= 1 with (aa + 1/aa + 2) pa^J / (1 - pa) < TAIL_TOL.
 
     aa is the reduced argument's modulus |a| in (|p|, 1] and pa = |p| > 0.
     """
     bound = (aa + 1.0 / aa + 2.0) / (1.0 - pa)
-    if bound <= tail_tol:
+    if bound <= TAIL_TOL:
         return 1
-    return max(1, math.ceil(math.log(bound / tail_tol) / -math.log(pa)))
+    return max(1, math.ceil(math.log(bound / TAIL_TOL) / -math.log(pa)))
 
 
-def theta_scaled(a, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[ScaledComplex, float]:
+def theta_scaled(a, p: complex) -> tuple[ScaledComplex, float]:
     """theta(a; p) in scaled form, plus the smallest |factor| encountered.
 
     Accepts a as complex or ScaledComplex of any magnitude.  The minimum
@@ -97,11 +85,11 @@ def theta_scaled(a, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[Scal
         pref = None
         an = a.to_complex()
 
-    terms = truncation_terms(abs(an), pa, cfg.tail_tol)
-    if terms > cfg.max_terms:
+    terms = truncation_terms(abs(an), pa)
+    if terms > MAX_TERMS:
         raise TruncationNotConverged(
             f"theta at |a| = {abs(an):.3g}, |p| = {pa:.3g} needs J = {terms} "
-            f"> max_terms = {cfg.max_terms}")
+            f"> MAX_TERMS = {MAX_TERMS}")
 
     inv = p / an
     prod = 1.0 + 0j
@@ -125,25 +113,24 @@ def theta_scaled(a, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[Scal
     return out, minfac
 
 
-def theta(a: complex, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
+def theta(a: complex, p: complex) -> complex:
     """The modified Jacobi theta function theta(a; p)."""
     if a == 0:
         raise ZeroArgument("theta argument must be nonzero")
-    val, _ = theta_scaled(a, p, cfg)
+    val, _ = theta_scaled(a, p)
     return val.to_complex()
 
 
-def theta_prod(args, p: complex, cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
+def theta_prod(args, p: complex) -> complex:
     """theta(a1, ..., ar; p) = theta(a1; p) * ... * theta(ar; p); empty -> 1."""
     out = ONE
     for a in args:
-        val, _ = theta_scaled(a, p, cfg)
+        val, _ = theta_scaled(a, p)
         out = out * val
     return out.to_complex()
 
 
-def factorial_scaled(a, base: complex, p: complex, k: int,
-                     cfg: ThetaConfig = DEFAULT_CONFIG) -> tuple[ScaledComplex, float]:
+def factorial_scaled(a, base: complex, p: complex, k: int) -> tuple[ScaledComplex, float]:
     """Scaled theta shifted factorial (a; base, p)_k with min-factor tracking.
 
     For k < 0 the standard reciprocal convention applies; a reciprocal factor
@@ -154,7 +141,7 @@ def factorial_scaled(a, base: complex, p: complex, k: int,
     arg = sc(a)
     if k >= 0:
         for _ in range(k):
-            val, mf = theta_scaled(arg, p, cfg)
+            val, mf = theta_scaled(arg, p)
             if mf < minfac:
                 minfac = mf
             out = out * val
@@ -162,7 +149,7 @@ def factorial_scaled(a, base: complex, p: complex, k: int,
     else:
         for _ in range(-k):
             arg = arg / base
-            val, mf = theta_scaled(arg, p, cfg)
+            val, mf = theta_scaled(arg, p)
             if mf < minfac:
                 minfac = mf
             out = out * val
@@ -174,10 +161,9 @@ def factorial_scaled(a, base: complex, p: complex, k: int,
     return out, minfac
 
 
-def shifted_factorial(a: complex, base: complex, p: complex, k: int,
-                      cfg: ThetaConfig = DEFAULT_CONFIG) -> complex:
+def shifted_factorial(a: complex, base: complex, p: complex, k: int) -> complex:
     """Theta shifted factorial (a; base, p)_k along a, a*base, a*base^2, ..."""
     if base == 0:
         raise ValueError("factorial base must be nonzero")
-    val, _ = factorial_scaled(a, base, p, k, cfg)
+    val, _ = factorial_scaled(a, base, p, k)
     return val.to_complex()

@@ -6,7 +6,6 @@ import ellid.harness
 from ellid.cli import main
 from ellid.harness import DEFAULT_TOL, SampleConfig, result_record, sample_params
 from ellid.identities import MODE_NUMERIC, evaluate
-from ellid.theta import ThetaConfig
 
 
 def test_list(capsys):
@@ -50,6 +49,9 @@ def test_bad_flags_exit_2(capsys):
     assert main(["verify", "--id", "geo", "--n", "1",
                  "--param", "oops"]) == 2                 # malformed param
     assert main(["sweep", "--suite", "all"]) == 2          # no such flag
+    assert main(["verify", "--id", "geo", "--n", "1",
+                 "--theta-terms", "64"]) == 2             # no such flag
+    assert main(["sweep", "--theta-terms", "64"]) == 2     # no such flag
 
 
 def test_env_seed(monkeypatch, capsys):
@@ -86,14 +88,12 @@ def test_verify_json_equals_two_step_checks(tmp_path, capsys):
                  "--seed", "5", "--param", "a=0.3,0.2", "--json", str(path)]) == 0
     results = json.loads(path.read_text())["results"]
     cfg = SampleConfig(seed=5, trials=4)
-    theta_cfg = ThetaConfig(max_terms=64)
     ref = []
     for trial in range(4):
-        prm = sample_params("tel-c", cfg, trial, 3, theta_cfg,
-                            fixed={"a": 0.3 + 0.2j})
+        prm = sample_params("tel-c", cfg, trial, 3, fixed={"a": 0.3 + 0.2j})
         assert prm["a"] == 0.3 + 0.2j
         ref.append(result_record(evaluate("tel-c", prm, 3, MODE_NUMERIC,
-                                          theta_cfg, DEFAULT_TOL, trial)))
+                                          DEFAULT_TOL, trial)))
     assert results == json.loads(json.dumps(ref))
 
 
@@ -130,11 +130,18 @@ def test_sweep_small(tmp_path, capsys):
     (["--id", "tel-b", "--n", "3", "--param", "m=0"],
      "needs m of kind positive-integer"),
     (["--id", "tel-c-ab", "--n", "3", "--param", "b=0"], "b must be nonzero"),
+    (["--id", "tel-c", "--n", "3", "--mode", "exact"], "tel-c has no exact mode"),
 ])
 def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
     assert main(["verify", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_verify_wide_pinned_nome(capsys):
+    # |p| = 0.7 needs up to 98 theta terms, within theta.MAX_TERMS
+    assert main(["verify", "--id", "tel-c", "--n", "3", "--param", "p=0.7"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_verify_pinned_integer_param(tmp_path, capsys):

@@ -9,7 +9,6 @@ from ellid.harness import (DEFAULT_TOL, EDGE_TOL, SampleConfig, SuiteReport,
                            sample_params)
 from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, evaluate,
                               reduce_chain_check)
-from ellid.theta import ThetaConfig
 
 
 def test_sample_determinism():
@@ -102,17 +101,6 @@ def test_report_determinism():
     assert json.dumps(a) == json.dumps(b)
 
 
-def test_monotone_truncation():
-    # raising max_terms never worsens a reported rel_err by more than 1e-12
-    cfg = SampleConfig(seed=21, trials=5)
-    ids = ["tel-c", "bigid", "e-indef-1"]
-    r64 = run_suite(ids, 3, cfg, theta_cfg=ThetaConfig(max_terms=64))
-    r256 = run_suite(ids, 3, cfg, theta_cfg=ThetaConfig(max_terms=256))
-    for x, y in zip(r64.results, r256.results):
-        assert (x["id"], x["n"], x["trial"]) == (y["id"], y["n"], y["trial"])
-        assert y["rel_err"] <= x["rel_err"] + 1e-12
-
-
 def test_edge_sampling_deterministic():
     cfg = SampleConfig(seed=4, trials=1)
     p1 = sample_edge_params("spc-1", "spc-2", cfg, 0, 4)
@@ -146,19 +134,15 @@ def test_run_suite_rejects_bad_config_before_any_draw(monkeypatch):
     for tol in (-1.0, 0.0, float("nan"), 1e300, float("inf")):
         with pytest.raises(ValueError, match="tol must lie in"):
             run_suite(["basic-g"], 3, cfg, tol=tol)
-    # the tail rule needs 341 theta terms at |p| = 0.9 and 50 at |p| = 0.5
-    with pytest.raises(ValueError, match="needs theta max_terms >= 341, got 64"):
-        run_suite(["basic-g"], 3, SampleConfig(seed=1, trials=3, p_radius=0.9))
-    with pytest.raises(ValueError, match="needs theta max_terms >= 50, got 8"):
-        run_suite(["basic-g"], 3, cfg, theta_cfg=ThetaConfig(max_terms=8))
 
 
 def test_run_suite_default_theta_terms_suffice():
+    # the widest nome box needs 341 theta terms, under theta.MAX_TERMS
     rep = run_suite(["basic-g"], 3, SampleConfig(seed=1, trials=3))
     assert rep.all_passed and len(rep.results) == 12
-    rep = run_suite(["basic-g"], 3, SampleConfig(seed=1, trials=3, p_radius=0.9),
-                    theta_cfg=ThetaConfig(max_terms=341))
-    assert rep.all_passed
+    rep = run_suite(["basic-g"], 3, SampleConfig(seed=1, trials=3, p_radius=0.9))
+    assert rep.all_passed and len(rep.results) == 12
+    assert rep.config["theta"] == {"max_terms": 512, "tail_tol": 1e-14}
 
 
 def test_n_below_range_rejected_before_any_draw(monkeypatch):
@@ -192,7 +176,6 @@ def test_suite_records_equal_two_step_checks():
     # each reported check is the sampler's accepted evaluation; it must equal
     # a fresh evaluation of the sampled parameters with the suite's tolerance
     cfg = SampleConfig(seed=31, trials=3)
-    theta_cfg = ThetaConfig()
     rep = run_suite(["tel-c", "bigid", "m00"], 2, cfg, include_edges=True)
     numeric = [r for r in rep.results if r["mode"] == MODE_NUMERIC]
     assert any("->" in r["id"] for r in numeric)
@@ -200,13 +183,12 @@ def test_suite_records_equal_two_step_checks():
         n, trial = rec["n"], rec["trial"]
         if "->" in rec["id"]:
             parent, child = rec["id"].split("->")
-            prm = sample_edge_params(parent, child, cfg, trial, n, theta_cfg)
-            ref = reduce_chain_check(parent, child, prm, n, cfg=theta_cfg,
-                                     tol=EDGE_TOL, trial=trial)
+            prm = sample_edge_params(parent, child, cfg, trial, n)
+            ref = reduce_chain_check(parent, child, prm, n, tol=EDGE_TOL,
+                                     trial=trial)
         else:
-            prm = sample_params(rec["id"], cfg, trial, n, theta_cfg)
-            ref = evaluate(rec["id"], prm, n, MODE_NUMERIC, theta_cfg,
-                           DEFAULT_TOL, trial)
+            prm = sample_params(rec["id"], cfg, trial, n)
+            ref = evaluate(rec["id"], prm, n, MODE_NUMERIC, DEFAULT_TOL, trial)
         assert rec == result_record(ref)
 
 

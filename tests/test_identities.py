@@ -12,7 +12,7 @@ from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, catalog, edges,
                               eval_exact, evaluate, get_identity,
                               reduce_chain_check)
 from ellid.qexact import ExactQ, LaurentPoly, RationalFn, q_number
-from ellid.theta import DEFAULT_CONFIG, factorial_scaled, theta_scaled
+from ellid.theta import factorial_scaled, theta_scaled
 
 REQUIRED_IDS = [
     "geo", "basic-g", "bigid", "bigid-hyper", "sum-cubes", "spc-4i", "spc-4ii",
@@ -180,8 +180,8 @@ def test_all_edges_verify(draws):
 def _times_q(sides):
     """parent_sides with both sides multiplied by q, or by 2 without a q."""
 
-    def mutant(prm, n, cfg, exact):
-        lhs, rhs = sides(prm, n, cfg, exact)
+    def mutant(prm, n, exact):
+        lhs, rhs = sides(prm, n, exact)
         if exact:
             f = ExactQ().qpow(1)
         elif "q" in prm and not isinstance(lhs, Fraction):
@@ -201,8 +201,7 @@ def test_edge_scale_mutants_fail(monkeypatch):
     exact_checked = 0
     for e in edges():
         n = max(e.min_n, get_identity(e.child).min_n) + 2
-        checks = [lambda: _sampled_edge_check(e.parent, e.child, cfg, 0, n,
-                                              DEFAULT_CONFIG)]
+        checks = [lambda: _sampled_edge_check(e.parent, e.child, cfg, 0, n)]
         if e.exact_ok:
             checks.append(lambda: reduce_chain_check(e.parent, e.child, {}, n,
                                                      mode=MODE_EXACT_Q))
@@ -237,16 +236,16 @@ def test_full_elliptic_sides_memoise_theta(monkeypatch):
 
     sides = []  # the theta arguments of each environment built, in order
 
-    def record(x, p, cfg=DEFAULT_CONFIG):
+    def record(x, p):
         sides[-1].append((x.e, repr(x.m)))
-        return theta_scaled(x, p, cfg)
+        return theta_scaled(x, p)
 
     def one_env_per_side(ident):
         desc = get_identity(ident)
 
-        def env(prm, cfg, exact):
+        def env(prm, exact):
             sides.append([])
-            return desc.env(prm, cfg, exact)
+            return desc.env(prm, exact)
 
         monkeypatch.setitem(ellid.identities._CATALOG, ident,
                             dataclasses.replace(desc, env=env))

@@ -5,8 +5,8 @@ import pytest
 
 from ellid._scaled import ScaledComplex, cpow, sc
 from ellid.errors import DivisionByZeroFactor, TruncationNotConverged, ZeroArgument
-from ellid.theta import (DEFAULT_CONFIG, ThetaConfig, shifted_factorial, theta,
-                         theta_prod, theta_scaled)
+from ellid.theta import (MAX_TERMS, shifted_factorial, theta, theta_prod,
+                         theta_scaled, truncation_terms)
 
 
 def test_types_validate():
@@ -14,11 +14,7 @@ def test_types_validate():
         theta(0.5, 1.0)
     with pytest.raises(ValueError):
         theta(0.5, 1.2 + 0.1j)
-    theta(0.5, 0.89j, ThetaConfig(max_terms=512))
-    with pytest.raises(ValueError):
-        ThetaConfig(max_terms=0)
-    with pytest.raises(ValueError):
-        ThetaConfig(tail_tol=0.0)
+    theta(0.5, 0.89j)
     with pytest.raises(ValueError):
         shifted_factorial(0.5, 0, 0.1, 2)
 
@@ -46,9 +42,16 @@ def test_theta_zero_argument():
 
 
 def test_theta_truncation_failure():
-    # |p| near 1 genuinely needs more terms than a small cap allows
-    with pytest.raises(TruncationNotConverged):
-        theta(0.5, 0.95, ThetaConfig(max_terms=16))
+    # |p| near 1 needs about 1/(1 - |p|) terms, more than MAX_TERMS allows
+    for p in (0.95, 0.99):
+        with pytest.raises(TruncationNotConverged, match="> MAX_TERMS = 512"):
+            theta(0.5, p)
+
+
+def test_widest_nome_box_fits_under_max_terms():
+    # the worst draw of the widest nome box SampleConfig allows has
+    # |p| = p_radius = 0.9 and reduced |a| = |p|
+    assert truncation_terms(0.9, 0.9) == 341 <= MAX_TERMS
 
 
 def test_theta_prod_examples():
@@ -74,13 +77,12 @@ def test_theta_inversion_law(draws):
 
 
 def test_theta_inversion_wide_nome(draws):
-    # |p| up to 0.9 needs a deeper product than the default 64 terms
-    cfg = ThetaConfig(max_terms=512)
+    # |p| up to 0.9 needs up to 341 terms
     for _ in range(200):
         a = draws.box(0.1)
         p = draws.p(0.9)
-        t1 = theta(a, p, cfg)
-        t3 = -a * theta(1 / a, p, cfg)
+        t1 = theta(a, p)
+        t3 = -a * theta(1 / a, p)
         assert abs(t1 - t3) <= 1e-10 * abs(t1)
 
 
@@ -116,7 +118,7 @@ def test_quasi_periodicity_normalization(draws):
 def test_huge_argument_scaled():
     # arguments far outside the double range still evaluate
     big = sc(0.37) * ScaledComplex(1.0, 2000)
-    val, minfac = theta_scaled(big, 0.5 + 0.1j, DEFAULT_CONFIG)
+    val, minfac = theta_scaled(big, 0.5 + 0.1j)
     assert minfac > 0
     assert math.isfinite(val.log2_abs())
 
@@ -161,14 +163,6 @@ def test_p_zero_consistency(draws):
             for j in range(k):
                 direct *= 1 - a * base**j
             assert shifted_factorial(a, base, 0, k) == pytest.approx(direct, rel=1e-13, abs=1e-13)
-
-
-def test_truncation_rule_matches_tail_bound():
-    # raising max_terms beyond the tail-determined order changes nothing
-    a, p = 0.3 + 0.4j, 0.45 + 0.1j
-    v1 = theta(a, p, ThetaConfig(max_terms=64))
-    v2 = theta(a, p, ThetaConfig(max_terms=4096))
-    assert v1 == v2
 
 
 def test_cpow_principal_branch():
