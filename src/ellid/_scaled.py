@@ -7,6 +7,11 @@ such an argument further exceeds the double range.  ScaledComplex keeps a
 complex mantissa together with an unbounded integer base-2 exponent so that
 arbitrarily long products of such factors remain representable; the final
 quotients convert back to ordinary complex.
+
+ScaledArith is the double-precision arithmetic every identity evaluator
+reaches through its environment: one, zero, a power, a cancellation-guarded
+sum and a pole-guarded denominator.  The q-provider, the elliptic contexts
+and the theta environment inherit it.
 """
 
 from __future__ import annotations
@@ -14,10 +19,22 @@ from __future__ import annotations
 import cmath
 import math
 
+from .errors import DomainRejected
+
 # ln(2) split hi/lo so that e*LN2_HI is exact for |e| < 2**20 (e integral).
 _LN2 = 0.6931471805599453
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+
+#: a value or theta factor of smaller magnitude counts as a pole hit
+POLE_TOL = 1e-6
+# cancellation guard: a draw whose largest summand exceeds the final value by
+# more than this factor cannot be verified to 1e-8 in double precision (the
+# terms carry ~1e-14 relative error, so 1e5 of cancellation leaves ~1e-9),
+# and the sum rejects it; same policy as the 1e-6 pole tolerance, applied to
+# cross-term cancellation
+COND_LIMIT = 1e5
+_COND_LOG2 = math.log2(COND_LIMIT)
 
 _BAND = 256  # renormalize when the mantissa exponent leaves [-_BAND, _BAND]
 
@@ -186,3 +203,38 @@ def cpow(base: complex, z) -> ScaledComplex:
     z = complex(z)
     return ScaledComplex.from_exp(complex(z.real * w.real - z.imag * w.imag,
                                           z.real * w.imag + z.imag * w.real))
+
+
+class ScaledArith:
+    """The environment arithmetic of the double-precision evaluators.
+
+    sum(terms) is a left fold from the first term (zero when empty) that
+    rejects a draw whose largest term exceeds the total by more than
+    COND_LIMIT; den(x) returns x unless it lies within POLE_TOL of zero.
+    """
+
+    one = ONE
+    zero = ZERO
+    pow = staticmethod(cpow)
+
+    def sum(self, terms) -> ScaledComplex:
+        total = None
+        peak = -math.inf
+        for t in terms:
+            t = sc(t)
+            lg = t.log2_abs()
+            if lg > peak:
+                peak = lg
+            total = t if total is None else total + t
+        if total is None:
+            return self.zero
+        if peak - max(total.log2_abs(), 0.0) > _COND_LOG2:
+            raise DomainRejected(
+                "cross-term cancellation exceeds the verification headroom")
+        return total
+
+    @staticmethod
+    def den(x):
+        if abs(x) < POLE_TOL:
+            raise DomainRejected("denominator within pole tolerance of zero")
+        return x

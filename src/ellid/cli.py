@@ -18,7 +18,7 @@ import os
 import sys
 import time
 
-from .errors import EllidError
+from .errors import EllidError, TruncationNotConverged
 from .harness import (DEFAULT_TOL, THETA_CONFIG, SampleConfig, SuiteReport,
                       result_record, run_suite, _check_tol, _sampled_check)
 from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
@@ -142,13 +142,20 @@ def _cmd_verify(args) -> int:
 
     t0 = time.monotonic()
     records = []
-    if mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL):
-        res = evaluate(desc, fixed, args.n, mode, args.tol)
-        records.append(result_record(res))
-    else:
-        for trial in range(args.trials):
-            res = _sampled_check(desc, cfg, trial, args.n, args.tol, fixed)
+    try:
+        if mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL):
+            res = evaluate(desc, fixed, args.n, mode, args.tol)
             records.append(result_record(res))
+        else:
+            for trial in range(args.trials):
+                res = _sampled_check(desc, cfg, trial, args.n, args.tol, fixed)
+                records.append(result_record(res))
+    except TruncationNotConverged as exc:
+        # every sampled nome fits under theta.MAX_TERMS; a pinned one may not
+        if "p" not in fixed:
+            raise
+        raise ValueError(f"pinned p={fixed['p']} is too close to the unit "
+                         f"circle: {exc}") from exc
 
     report = SuiteReport(config={"sample": cfg.to_dict(), "tol": args.tol,
                                  "n": args.n, "id": desc.id, "mode": args.mode,

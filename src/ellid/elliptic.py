@@ -31,6 +31,12 @@ its inputs (|p| < 1, q != 0, and a, b nonzero when p != 0), every closed
 form needs q != 0 and ABQCtx needs b != 0 (it divides by b); a violation
 raises ValueError.
 
+Every context is also the environment its identities' evaluators run over:
+it inherits one, zero, pow, sum and den from _scaled.ScaledArith.  An
+evaluator written against num, wt and that arithmetic therefore runs
+unchanged over any other object that provides them, such as a context
+written outside the package over mpmath.
+
 A FullEllipticCtx memoises theta for its lifetime; the identity path builds
 one per side of a check.
 
@@ -43,12 +49,12 @@ from __future__ import annotations
 
 import math
 
-from ._scaled import ONE, ScaledComplex, cpow, sc
+from ._scaled import ONE, ScaledArith, ScaledComplex, cpow, sc
 from .errors import PoleProximity
 from .theta import POLE_TOL, theta_scaled
 
 
-class FullEllipticCtx:
+class FullEllipticCtx(ScaledArith):
     """Elliptic numbers/weights as theta quotients (any nome, incl. p = 0).
 
     A context memoises theta_scaled for its lifetime, keyed by the exact
@@ -133,7 +139,7 @@ class FullEllipticCtx:
         ) * qk
 
 
-class _ClosedFormCtx:
+class _ClosedFormCtx(ScaledArith):
     """Shared plumbing for the p = 0 closed forms."""
 
     def __init__(self, q):
@@ -264,7 +270,7 @@ class QInvCtx(_ClosedFormCtx):
         return ONE / self.qpow(k)
 
 
-class ClassicalCtx:
+class ClassicalCtx(ScaledArith):
     """q -> 1 degeneration: [z] = z and W = 1 (for the hypergeometric forms)."""
 
     def num(self, z, s=0) -> ScaledComplex:

@@ -5,16 +5,27 @@ is never derived from the LHS), a parameter signature, the verification modes
 it supports, and a domain predicate realizing pole rejection.  Identity
 families:
 
-  * plain q-identities evaluated over an abstract q-arithmetic provider, so
-    one transcription serves both the numeric engine and the exact
+  * plain q-identities evaluated over a q-arithmetic provider, so one
+    transcription serves both the numeric engine and the exact
     Laurent-polynomial oracle;
   * elliptic-context identities (sums of elliptic numbers and weights),
     evaluated over the specialization contexts of `elliptic`;
   * theta-factorial identities (indefinite summations with q-, q^{-1}- and
-    multibasic shifted-factorial slots), evaluated directly over the scaled
-    theta machinery;
+    multibasic shifted-factorial slots), evaluated over a theta environment;
   * rational identities (the hypergeometric degenerations), evaluated over
-    plain complex numbers or Fractions.
+    double-precision or Fraction arithmetic.
+
+An evaluator lhs(env, prm, n) or rhs(env, prm, n) reaches numbers only
+through its environment env and the parameters prm.  Every environment
+provides one, zero, sum(terms) (a left fold from the first term, zero when
+empty), pow(base, z) and den(x) (x itself, or DomainRejected near a pole);
+the q-provider adds qn, qn_den and qpow, a context num and wt, and the theta
+environment theta(x, p) and fact(x, base, p, k), each returning (value,
+min |factor|).  The double-precision arithmetic is _scaled.ScaledArith,
+whose sum also rejects a draw that cancels beyond COND_LIMIT; the exact
+modes use qexact.ExactArith.  So an environment written outside the
+package, over mpmath say, runs every evaluator unchanged once the caller
+promotes the parameters to its number type.
 
 Degeneration edges record how each identity specializes into the next one
 down the chain (nome to zero, parameters to 0/1/q/infinity, index shifts),
@@ -32,12 +43,12 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Optional
 
-from ._scaled import ONE, ZERO, ScaledComplex, cpow, sc
+from ._scaled import ONE, ScaledArith, ScaledComplex, cpow, sc
 from .elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx,
                        QCtx, QInvCtx)
 from .errors import (DivisionByZeroFactor, DomainRejected, ModeUnsupported,
                      PoleProximity, UnknownEdge, UnknownIdentity)
-from .qexact import ExactQ, RationalFn
+from .qexact import ExactArith, ExactQ, RationalFn
 from .theta import POLE_TOL, factorial_scaled, theta_scaled
 
 MODE_NUMERIC = "numeric-elliptic"
@@ -46,101 +57,48 @@ MODE_EXACT_RATIONAL = "exact-rational"
 
 
 # ---------------------------------------------------------------------------
-# numeric q-arithmetic provider (mirrors qexact.ExactQ)
+# double-precision environments (the exact ones live in qexact)
 # ---------------------------------------------------------------------------
 
-class NumericQ:
-    """q-numbers, q-powers, zero and one over ScaledComplex values."""
-
-    exact = False
+class NumericQ(ScaledArith):
+    """q-numbers and q-powers over ScaledComplex values (mirrors qexact.ExactQ)."""
 
     def __init__(self, q: complex):
         self.q = complex(q)
-        den = ONE - sc(self.q)
-        if abs(den) < POLE_TOL:
-            raise DomainRejected("1 - q within pole tolerance of zero")
-        self._den = den
+        self._den = self.den(ONE - self.q)
 
     def qn(self, z) -> ScaledComplex:
         return (ONE - cpow(self.q, z)) / self._den
 
     def qn_den(self, z) -> ScaledComplex:
-        num = ONE - cpow(self.q, z)
-        if abs(num) < POLE_TOL:
-            raise DomainRejected(f"1 - q^({z}) within pole tolerance of zero")
-        return num / self._den
+        return self.den(ONE - cpow(self.q, z)) / self._den
 
     def qpow(self, e) -> ScaledComplex:
         return cpow(self.q, e)
 
-    def zero(self) -> ScaledComplex:
-        return ZERO
 
-    def one(self) -> ScaledComplex:
-        return ONE
+class ThetaEnv(ScaledArith):
+    """The theta environment of the theta-factorial identities.
+
+    theta and fact look theta_scaled and factorial_scaled up at call time, so
+    a wrapper installed on those module globals sees every call.
+    """
+
+    def theta(self, x, p):
+        """(theta(x; p), min |factor|)."""
+        return theta_scaled(x, p)
+
+    def fact(self, x, base, p, k: int):
+        """((x; base, p)_k, min |factor|)."""
+        return factorial_scaled(x, base, p, k)
 
 
 # ---------------------------------------------------------------------------
 # plain q-identities (one transcription, numeric and exact)
 # ---------------------------------------------------------------------------
 
-
-# cancellation guard: a draw whose largest summand exceeds the final value by
-# more than this factor cannot be verified to 1e-8 in double precision (the
-# terms carry ~1e-14 relative error, so 1e5 of cancellation leaves ~1e-9),
-# and the domain predicate rejects it; same policy as the 1e-6 pole
-# tolerance, applied to cross-term cancellation
-COND_LIMIT = 1e5
-_COND_LOG2 = math.log2(COND_LIMIT)
-
-
-class _Sum:
-    """Sum accumulator tracking the largest term magnitude (numeric mode)."""
-
-    __slots__ = ("total", "peak", "exact")
-
-    def __init__(self):
-        self.total = None
-        self.peak = -math.inf
-        self.exact = False
-
-    def add(self, term):
-        if isinstance(term, (RationalFn, Fraction, int)):
-            self.exact = True
-            self.total = term if self.total is None else self.total + term
-            return
-        t = term if isinstance(term, ScaledComplex) else sc(complex(term))
-        lg = t.log2_abs()
-        if lg > self.peak:
-            self.peak = lg
-        self.total = t if self.total is None else self.total + t
-
-    def __add__(self, term):
-        self.add(term)
-        return self
-
-    def value(self, zero):
-        if self.total is None:
-            return zero
-        if not self.exact and self.peak - max(self.total.log2_abs(), 0.0) > _COND_LOG2:
-            raise DomainRejected(
-                "cross-term cancellation exceeds the verification headroom")
-        return self.total
-
-
-def _guard_diff(t1, t2):
-    """t1 - t2 with the same cancellation guard for two-term sides."""
-    s = _Sum()
-    s.add(t1)
-    s.add(-t2)
-    return s.value(ZERO)
-
-
 def _geo_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(n):
-        tot = tot + P.qpow(k)
-    return tot.value(P.zero())
+    return P.sum(P.qpow(k) for k in range(n))
 
 
 def _geo_rhs(P, prm, n):
@@ -148,10 +106,7 @@ def _geo_rhs(P, prm, n):
 
 
 def _qodds_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(n):
-        tot = tot + P.qn(2 * k + 1) * P.qpow(-k)
-    return tot.value(P.zero())
+    return P.sum(P.qn(2 * k + 1) * P.qpow(-k) for k in range(n))
 
 
 def _qodds_rhs(P, prm, n):
@@ -160,10 +115,7 @@ def _qodds_rhs(P, prm, n):
 
 def _sp1_lhs(P, prm, n):
     two = P.qn(2)
-    tot = _Sum()
-    for k in range(n + 1):
-        tot = tot + P.qpow(k - 1) * (two * P.qn(k + 1) - P.one())
-    return tot.value(P.zero())
+    return P.sum(P.qpow(k - 1) * (two * P.qn(k + 1) - P.one) for k in range(n + 1))
 
 
 def _sp1_rhs(P, prm, n):
@@ -173,10 +125,8 @@ def _sp1_rhs(P, prm, n):
 
 def _sp2_lhs(P, prm, n):
     two = P.qn(2)
-    tot = _Sum()
-    for k in range(n + 1):
-        tot = tot + P.qpow(2 * n - 2 * k) * (two * P.qn(k + 1) - P.qpow(k + 1))
-    return tot.value(P.zero())
+    return P.sum(P.qpow(2 * n - 2 * k) * (two * P.qn(k + 1) - P.qpow(k + 1))
+                 for k in range(n + 1))
 
 
 def _sp2_rhs(P, prm, n):
@@ -186,12 +136,13 @@ def _sp2_rhs(P, prm, n):
 
 def _telc_a1_lhs(P, prm, n):
     two = P.qn(2)
-    tot = _Sum()
-    for k in range(n + 1):
-        kk = P.qn(k + 1)
-        tot = tot + P.qpow(2 * n - 2 * k) * (
-            two * kk * kk * P.qn(2 * k + 2) - P.qpow(k + 1) * P.qn(2 * k + 1))
-    return tot.value(P.zero())
+
+    def terms():
+        for k in range(n + 1):
+            kk = P.qn(k + 1)
+            yield P.qpow(2 * n - 2 * k) * (
+                two * kk * kk * P.qn(2 * k + 2) - P.qpow(k + 1) * P.qn(2 * k + 1))
+    return P.sum(terms())
 
 
 def _telc_a1_rhs(P, prm, n):
@@ -201,11 +152,8 @@ def _telc_a1_rhs(P, prm, n):
 
 def _telc_b1_lhs(P, prm, n):
     two = P.qn(2)
-    tot = _Sum()
-    for k in range(n + 1):
-        tot = tot + (P.qpow(k - 1) / (P.qn_den(k + 1) * P.qn_den(k + 2))) * (
-            P.qn(k + 1) * two * two / P.qn_den(k + 3) - P.one())
-    return tot.value(P.zero())
+    return P.sum((P.qpow(k - 1) / (P.qn_den(k + 1) * P.qn_den(k + 2))) * (
+        P.qn(k + 1) * two * two / P.qn_den(k + 3) - P.one) for k in range(n + 1))
 
 
 def _telc_b1_rhs(P, prm, n):
@@ -214,12 +162,9 @@ def _telc_b1_rhs(P, prm, n):
 
 
 def _telc_aq_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(n + 1):
-        tot = tot + P.qpow(2 * n - 2 * k) * (
-            P.qn(k + 1) * P.qn(k + 2) * P.qn(2 * k + 3)
-            - P.qpow(k + 1) * P.qn(2 * k + 2))
-    return tot.value(P.zero())
+    return P.sum(P.qpow(2 * n - 2 * k) * (
+        P.qn(k + 1) * P.qn(k + 2) * P.qn(2 * k + 3)
+        - P.qpow(k + 1) * P.qn(2 * k + 2)) for k in range(n + 1))
 
 
 def _telc_aq_rhs(P, prm, n):
@@ -229,11 +174,8 @@ def _telc_aq_rhs(P, prm, n):
 
 def _telc_bq_lhs(P, prm, n):
     f23 = P.qn(2) * P.qn(3)
-    tot = _Sum()
-    for k in range(n + 1):
-        tot = tot + (P.qpow(k - 1) / (P.qn_den(k + 2) * P.qn_den(k + 3))) * (
-            P.qn(k + 1) * f23 / P.qn_den(k + 4) - P.one())
-    return tot.value(P.zero())
+    return P.sum((P.qpow(k - 1) / (P.qn_den(k + 2) * P.qn_den(k + 3))) * (
+        P.qn(k + 1) * f23 / P.qn_den(k + 4) - P.one) for k in range(n + 1))
 
 
 def _telc_bq_rhs(P, prm, n):
@@ -242,10 +184,7 @@ def _telc_bq_rhs(P, prm, n):
 
 
 def _triangular_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + P.qpow(k - 1) * P.qn(k)
-    return tot.value(P.zero())
+    return P.sum(P.qpow(k - 1) * P.qn(k) for k in range(1, n + 1))
 
 
 def _triangular_rhs(P, prm, n):
@@ -253,19 +192,17 @@ def _triangular_rhs(P, prm, n):
 
 
 def _warnaar_triangular_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + P.qpow(2 * n - 2 * k) * P.qn(k)
-    return tot.value(P.zero())
+    return P.sum(P.qpow(2 * n - 2 * k) * P.qn(k) for k in range(1, n + 1))
 
 
 def _warnaar_cubes_lhs(P, prm, n):
     den2 = P.qn_den(2)
-    tot = _Sum()
-    for k in range(1, n + 1):
-        kk = P.qn(k)
-        tot = tot + P.qpow(2 * n - 2 * k) * kk * kk * P.qn(2 * k) / den2
-    return tot.value(P.zero())
+
+    def terms():
+        for k in range(1, n + 1):
+            kk = P.qn(k)
+            yield P.qpow(2 * n - 2 * k) * kk * kk * P.qn(2 * k) / den2
+    return P.sum(terms())
 
 
 def _warnaar_cubes_rhs(P, prm, n):
@@ -275,10 +212,8 @@ def _warnaar_cubes_rhs(P, prm, n):
 
 def _even_b1_lhs(P, prm, n):
     two = P.qn(2)
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + P.qpow(k - 1) * two / (P.qn_den(k + 1) * P.qn_den(k + 2))
-    return tot.value(P.zero())
+    return P.sum(P.qpow(k - 1) * two / (P.qn_den(k + 1) * P.qn_den(k + 2))
+                 for k in range(1, n + 1))
 
 
 def _even_b1_rhs(P, prm, n):
@@ -286,10 +221,8 @@ def _even_b1_rhs(P, prm, n):
 
 
 def _even_aqq_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + P.qpow(2 * n - 2 * k) * P.qn(k) * P.qn(k + 1) * P.qn(2 * k + 1)
-    return tot.value(P.zero())
+    return P.sum(P.qpow(2 * n - 2 * k) * P.qn(k) * P.qn(k + 1) * P.qn(2 * k + 1)
+                 for k in range(1, n + 1))
 
 
 def _even_aqq_rhs(P, prm, n):
@@ -299,11 +232,8 @@ def _even_aqq_rhs(P, prm, n):
 
 def _even_bqq_lhs(P, prm, n):
     two = P.qn(2)
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + P.qpow(k - 1) * two * two * P.qn(k) / (
-            P.qn_den(k + 1) * P.qn_den(k + 2) * P.qn_den(k + 3))
-    return tot.value(P.zero())
+    return P.sum(P.qpow(k - 1) * two * two * P.qn(k) / (
+        P.qn_den(k + 1) * P.qn_den(k + 2) * P.qn_den(k + 3)) for k in range(1, n + 1))
 
 
 def _even_bqq_rhs(P, prm, n):
@@ -311,10 +241,7 @@ def _even_bqq_rhs(P, prm, n):
 
 
 def _m3r_a0_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + P.qpow(3 * n - 3 * k) * P.qn(k) * P.qn(k + 1)
-    return tot.value(P.zero())
+    return P.sum(P.qpow(3 * n - 3 * k) * P.qn(k) * P.qn(k + 1) for k in range(1, n + 1))
 
 
 def _m3r_a0_rhs(P, prm, n):
@@ -322,11 +249,11 @@ def _m3r_a0_rhs(P, prm, n):
 
 
 def _m3r_a1_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        t = P.qn(k) * P.qn(k + 1)
-        tot = tot + P.qpow(3 * n - 3 * k) * t * t * P.qn(2 * k + 1)
-    return tot.value(P.zero())
+    def terms():
+        for k in range(1, n + 1):
+            t = P.qn(k) * P.qn(k + 1)
+            yield P.qpow(3 * n - 3 * k) * t * t * P.qn(2 * k + 1)
+    return P.sum(terms())
 
 
 def _m3r_a1_rhs(P, prm, n):
@@ -335,11 +262,11 @@ def _m3r_a1_rhs(P, prm, n):
 
 
 def _m3r_aq_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        k1 = P.qn(k + 1)
-        tot = tot + P.qpow(3 * n - 3 * k) * P.qn(k) * k1 * k1 * P.qn(k + 2) * P.qn(2 * k + 2)
-    return tot.value(P.zero())
+    def terms():
+        for k in range(1, n + 1):
+            k1 = P.qn(k + 1)
+            yield P.qpow(3 * n - 3 * k) * P.qn(k) * k1 * k1 * P.qn(k + 2) * P.qn(2 * k + 2)
+    return P.sum(terms())
 
 
 def _m3r_aq_rhs(P, prm, n):
@@ -349,11 +276,9 @@ def _m3r_aq_rhs(P, prm, n):
 
 
 def _m3r_q2aq_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + (P.qpow(6 * n - 6 * k) * P.qn(2 * k) * P.qn(2 * k + 1)
-                     * P.qn(2 * k + 2) * P.qn(2 * k + 3) * P.qn(4 * k + 3))
-    return tot.value(P.zero())
+    return P.sum(P.qpow(6 * n - 6 * k) * P.qn(2 * k) * P.qn(2 * k + 1)
+                 * P.qn(2 * k + 2) * P.qn(2 * k + 3) * P.qn(4 * k + 3)
+                 for k in range(1, n + 1))
 
 
 def _m3r_q2aq_rhs(P, prm, n):
@@ -362,11 +287,9 @@ def _m3r_q2aq_rhs(P, prm, n):
 
 
 def _m3r_q2a1q_lhs(P, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + (P.qpow(6 * n - 6 * k) * P.qn(2 * k - 1) * P.qn(2 * k)
-                     * P.qn(2 * k + 1) * P.qn(2 * k + 2) * P.qn(4 * k + 1))
-    return tot.value(P.zero())
+    return P.sum(P.qpow(6 * n - 6 * k) * P.qn(2 * k - 1) * P.qn(2 * k)
+                 * P.qn(2 * k + 1) * P.qn(2 * k + 2) * P.qn(4 * k + 1)
+                 for k in range(1, n + 1))
 
 
 def _m3r_q2a1q_rhs(P, prm, n):
@@ -378,10 +301,7 @@ def _m3r_q2a1q_rhs(P, prm, n):
 
 def _spc4i_lhs(P, prm, n):
     den2 = P.qn_den(2)
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + P.qpow(n - k) * P.qn(2 * k) / den2
-    return tot.value(P.zero())
+    return P.sum(P.qpow(n - k) * P.qn(2 * k) / den2 for k in range(1, n + 1))
 
 
 def _spc4i_rhs(P, prm, n):
@@ -390,11 +310,8 @@ def _spc4i_rhs(P, prm, n):
 
 def _spc4ii_lhs(P, prm, n):
     den2 = P.qn_den(2)
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + (P.qpow(n * n - k * k + n - k)
-                     * P.qn(2 * k * k) * P.qn(2 * k) / (den2 * den2))
-    return tot.value(P.zero())
+    return P.sum(P.qpow(n * n - k * k + n - k) * P.qn(2 * k * k) * P.qn(2 * k)
+                 / (den2 * den2) for k in range(1, n + 1))
 
 
 def _spc4ii_rhs(P, prm, n):
@@ -410,12 +327,10 @@ def _spc2_den(P, prm):
 def _spc2_lhs(P, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
     den = _spc2_den(P, prm)
-    tot = _Sum()
-    for k in range(n + 1):
-        e = g * h * k * k + (c * h + d * g + g * h) * k
-        tot = tot + (P.qn(2 * (g * k + c) * (h * k + d))
-                     * P.qn(2 * g * h * k + c * h + d * g) / den) * P.qpow(-e)
-    return tot.value(P.zero())
+    return P.sum((P.qn(2 * (g * k + c) * (h * k + d))
+                  * P.qn(2 * g * h * k + c * h + d * g) / den)
+                 * P.qpow(-(g * h * k * k + (c * h + d * g + g * h) * k))
+                 for k in range(n + 1))
 
 
 def _spc2_rhs(P, prm, n):
@@ -425,27 +340,15 @@ def _spc2_rhs(P, prm, n):
     first = (P.qn((g * n + c) * (h * n + h + d)) * P.qn((g * n + g + c) * (h * n + d))
              / den) * P.qpow(-e)
     second = (P.qn(c * (d - h)) * P.qn((c - g) * d) / den) * P.qpow(c * h + d * g)
-    if isinstance(first, RationalFn):
-        return first - second
-    return _guard_diff(first, second)
+    return P.sum((first, -second))
 
 
 # ---------------------------------------------------------------------------
 # elliptic-context identities
 # ---------------------------------------------------------------------------
 
-def _ctx_den(x: ScaledComplex) -> ScaledComplex:
-    """Guard a context value that the identity divides by."""
-    if abs(x) < POLE_TOL:
-        raise DomainRejected("identity denominator within pole tolerance of zero")
-    return x
-
-
 def _basicg_lhs(ctx, prm, n):
-    tot = _Sum()
-    for k in range(n):
-        tot = tot + ctx.wt(k)
-    return tot.value(ZERO)
+    return ctx.sum(ctx.wt(k) for k in range(n))
 
 
 def _basicg_rhs(ctx, prm, n):
@@ -453,10 +356,8 @@ def _basicg_rhs(ctx, prm, n):
 
 
 def _telc_lhs(ctx, prm, n):
-    tot = _Sum()
-    for k in range(n + 1):
-        tot = tot + ctx.wt(k) * (ctx.num(k + 1) * ctx.num(2, s=k) - 1)
-    return tot.value(ZERO)
+    return ctx.sum(ctx.wt(k) * (ctx.num(k + 1) * ctx.num(2, s=k) - 1)
+                   for k in range(n + 1))
 
 
 def _telc_rhs(ctx, prm, n):
@@ -465,28 +366,19 @@ def _telc_rhs(ctx, prm, n):
 
 def _tela_lhs(ctx, prm, n):
     m = prm["m"]
-    tot = _Sum()
-    for k in range(n + 1):
-        term = ctx.wt(k) * ctx.num(m + 1, s=k)
-        for i in range(1, m + 1):
-            term = term * ctx.num(k + i)
-        tot = tot + term
-    return tot.value(ZERO)
+    return ctx.sum(reduce(mul, (ctx.num(k + i) for i in range(1, m + 1)),
+                          ctx.wt(k) * ctx.num(m + 1, s=k))
+                   for k in range(n + 1))
 
 
 def _tela_rhs(ctx, prm, n):
     m = prm["m"]
-    out = ONE
-    for i in range(1, m + 2):
-        out = out * ctx.num(n + i)
-    return out
+    return reduce(mul, (ctx.num(n + i) for i in range(1, m + 2)), ctx.one)
 
 
 def _sumeven_lhs(ctx, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + ctx.wt(k - 1) * ctx.num(2, s=k - 1) * ctx.num(k)
-    return tot.value(ZERO)
+    return ctx.sum(ctx.wt(k - 1) * ctx.num(2, s=k - 1) * ctx.num(k)
+                   for k in range(1, n + 1))
 
 
 def _sumeven_rhs(ctx, prm, n):
@@ -494,11 +386,8 @@ def _sumeven_rhs(ctx, prm, n):
 
 
 def _m3rising_lhs(ctx, prm, n):
-    tot = _Sum()
-    for k in range(1, n + 1):
-        tot = tot + (ctx.wt(k - 1) * ctx.num(3, s=k - 1)
-                     * ctx.num(k) * ctx.num(k + 1))
-    return tot.value(ZERO)
+    return ctx.sum(ctx.wt(k - 1) * ctx.num(3, s=k - 1) * ctx.num(k) * ctx.num(k + 1)
+                   for k in range(1, n + 1))
 
 
 def _m3rising_rhs(ctx, prm, n):
@@ -507,62 +396,57 @@ def _m3rising_rhs(ctx, prm, n):
 
 def _telb_lhs(ctx, prm, n):
     m = prm["m"]
-    tot = _Sum()
-    for k in range(1, n + 1):
-        den = ONE
-        for i in range(0, m + 1):
-            den = den * _ctx_den(ctx.num(k + i))
-        tot = tot + ctx.wt(k) * ctx.num(m, s=k) / den
-    return tot.value(ZERO)
+
+    def terms():
+        for k in range(1, n + 1):
+            den = reduce(mul, (ctx.den(ctx.num(k + i)) for i in range(m + 1)), ctx.one)
+            yield ctx.wt(k) * ctx.num(m, s=k) / den
+    return ctx.sum(terms())
 
 
 def _telb_rhs(ctx, prm, n):
     m = prm["m"]
-    fact = ONE
-    for j in range(1, m + 1):
-        fact = fact * _ctx_den(ctx.num(j))
-    tail = ONE
-    for i in range(1, m + 1):
-        tail = tail * _ctx_den(ctx.num(n + i))
-    return _guard_diff(ONE / fact, ONE / tail)
+    fact = reduce(mul, (ctx.den(ctx.num(j)) for j in range(1, m + 1)), ctx.one)
+    tail = reduce(mul, (ctx.den(ctx.num(n + i)) for i in range(1, m + 1)), ctx.one)
+    return ctx.sum((ctx.one / fact, -(ctx.one / tail)))
 
 
 def _bigid_lhs(ctx, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
-    den = _ctx_den(ctx.num(2 * c * d) * ctx.num(c * h + d * g, s=(c - g) * d))
-    ratio = ONE
-    winv = ONE
-    tot = _Sum()
-    for k in range(n + 1):
-        if k:
-            j = k - 1
-            zj = (g * j + g + c) * (h * j + d)
-            ratio = (ratio * ctx.num(zj, s=(g * j - g + c) * (h * j + d))
-                     / _ctx_den(ctx.num(zj, s=(g * j + g + c) * (h * j + 2 * h + d))))
-            winv = winv / _ctx_den(
-                ctx.wt(2 * g * h * j + 2 * g * h + c * h + d * g,
-                       s=(g * j + c) * (h * j + h + d)))
-        t = (ctx.num(2 * (g * k + c) * (h * k + d))
-             * ctx.num(2 * g * h * k + c * h + d * g, s=(g * k - g + c) * (h * k + d)))
-        tot = tot + (t / den) * ratio * winv
-    return tot.value(ZERO)
+    den = ctx.den(ctx.num(2 * c * d) * ctx.num(c * h + d * g, s=(c - g) * d))
+
+    def terms():
+        ratio = winv = ctx.one
+        for k in range(n + 1):
+            if k:
+                j = k - 1
+                zj = (g * j + g + c) * (h * j + d)
+                ratio = (ratio * ctx.num(zj, s=(g * j - g + c) * (h * j + d))
+                         / ctx.den(ctx.num(zj, s=(g * j + g + c) * (h * j + 2 * h + d))))
+                winv = winv / ctx.den(
+                    ctx.wt(2 * g * h * j + 2 * g * h + c * h + d * g,
+                           s=(g * j + c) * (h * j + h + d)))
+            t = (ctx.num(2 * (g * k + c) * (h * k + d))
+                 * ctx.num(2 * g * h * k + c * h + d * g, s=(g * k - g + c) * (h * k + d)))
+            yield (t / den) * ratio * winv
+    return ctx.sum(terms())
 
 
 def _bigid_rhs(ctx, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
-    den = _ctx_den(ctx.num(2 * c * d) * ctx.num(c * h + d * g, s=(c - g) * d))
+    den = ctx.den(ctx.num(2 * c * d) * ctx.num(c * h + d * g, s=(c - g) * d))
     first = (ctx.num((g * n + c) * (h * n + h + d))
              * ctx.num((g + c) * d, s=(c - g) * d)) / den
     for j in range(1, n + 1):
         first = (first
                  * ctx.num((g * j + g + c) * (h * j + d), s=(g * j - g + c) * (h * j + d))
-                 / _ctx_den(ctx.num((g * j + c) * (h * j - h + d),
-                                    s=(g * j + c) * (h * j + h + d)))
-                 / _ctx_den(ctx.wt(2 * g * h * j + c * h + d * g,
-                                   s=(g * j - g + c) * (h * j + d))))
+                 / ctx.den(ctx.num((g * j + c) * (h * j - h + d),
+                                   s=(g * j + c) * (h * j + h + d)))
+                 / ctx.den(ctx.wt(2 * g * h * j + c * h + d * g,
+                                  s=(g * j - g + c) * (h * j + d))))
     second = (ctx.num((c - g) * d) * ctx.num(c * (d - h), s=c * (h + d))
               * ctx.wt(c * h + d * g, s=(c - g) * d)) / den
-    return _guard_diff(first, second)
+    return ctx.sum((first, -second))
 
 
 # ---------------------------------------------------------------------------
@@ -572,38 +456,39 @@ def _bigid_rhs(ctx, prm, n):
 class _Slot:
     """Running shifted factorial (x; base, p)_k, advanced one index at a time."""
 
-    __slots__ = ("arg", "base", "p", "val", "guard")
+    __slots__ = ("env", "arg", "base", "p", "val", "guard")
 
-    def __init__(self, x, base, p, guard: bool = False):
-        self.arg = sc(x)
+    def __init__(self, env, x, base, p, guard: bool = False):
+        self.env = env
+        self.arg = env.zero + x  # x in the environment's number type
         self.base = base
-        self.p = complex(p)
-        self.val = ONE
+        self.p = p
+        self.val = env.one
         self.guard = guard
 
     def step(self):
-        v, mf = theta_scaled(self.arg, self.p)
+        v, mf = self.env.theta(self.arg, self.p)
         if self.guard and mf < POLE_TOL:
             raise PoleProximity("denominator factorial factor within pole tolerance")
         self.val = self.val * v
         self.arg = self.arg * self.base
 
 
-def _fact(x, base, p, k: int, guard: bool = False) -> ScaledComplex:
-    val, mf = factorial_scaled(x, base, p, k)
+def _fact(env, x, base, p, k: int, guard: bool = False):
+    val, mf = env.fact(x, base, p, k)
     if guard and mf < POLE_TOL:
         raise PoleProximity("denominator factorial factor within pole tolerance")
     return val
 
 
-def _theta_den(x, p) -> ScaledComplex:
-    val, mf = theta_scaled(x, p)
+def _theta_den(env, x, p):
+    val, mf = env.theta(x, p)
     if mf < POLE_TOL:
         raise PoleProximity("denominator theta within pole tolerance of zero")
     return val
 
 
-def _slot_sum(p, ks, tops, den0, nums, dens, weight):
+def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
     """Sum over k in ks of prod theta(tops) / den0 * prod nums / prod dens * weight(k).
 
     Each top is (x, mults): theta(x; p), with x multiplied by each of mults
@@ -613,73 +498,74 @@ def _slot_sum(p, ks, tops, den0, nums, dens, weight):
     so a denominator pole one index past the sum rejects the draw.
     """
     slots = {}
-    num = [slots.setdefault((x, b, False), _Slot(x, b, p)) for x, b in nums]
-    den = [slots.setdefault((x, b, True), _Slot(x, b, p, True)) for x, b in dens]
-    xs = [sc(x) for x, _ in tops]
-    tot = _Sum()
-    for k in ks:
-        term = reduce(mul, [theta_scaled(x, p)[0] for x in xs]) / den0
-        term = reduce(mul, [s.val for s in num], term)
-        tot.add(term / reduce(mul, [s.val for s in den]) * weight(k))
-        for s in slots.values():
-            s.step()
-        xs = [reduce(mul, mults, x) for x, (_, mults) in zip(xs, tops)]
-    return tot.value(ZERO)
+    num = [slots.setdefault((x, b, False), _Slot(env, x, b, p)) for x, b in nums]
+    den = [slots.setdefault((x, b, True), _Slot(env, x, b, p, True)) for x, b in dens]
+
+    def terms():
+        xs = [env.zero + x for x, _ in tops]
+        for k in ks:
+            term = reduce(mul, [env.theta(x, p)[0] for x in xs]) / den0
+            term = reduce(mul, [s.val for s in num], term)
+            yield term / reduce(mul, [s.val for s in den]) * weight(k)
+            for s in slots.values():
+                s.step()
+            xs = [reduce(mul, mults, x) for x, (_, mults) in zip(xs, tops)]
+    return env.sum(terms())
 
 
 def _indef1_lhs(env, prm, n):
     a, b, q = prm["a"], prm["b"], prm["q"]
-    return _slot_sum(0, range(n + 1), [(a, (q, q))], _theta_den(a, 0),
+    return _slot_sum(env, 0, range(n + 1), [(a, (q, q))], _theta_den(env, a, 0),
                      [(a, q), (b, q)], [(q, q), (a * q / b, q)],
-                     lambda k: cpow(b, n - k))
+                     lambda k: env.pow(b, n - k))
 
 
 def _indef1_rhs(env, prm, n):
     a, b, q = prm["a"], prm["b"], prm["q"]
-    return (_fact(a * q, q, 0, n) * _fact(b * q, q, 0, n)
-            / _fact(q, q, 0, n, guard=True)
-            / _fact(a * q / b, q, 0, n, guard=True))
+    return (_fact(env, a * q, q, 0, n) * _fact(env, b * q, q, 0, n)
+            / _fact(env, q, q, 0, n, guard=True)
+            / _fact(env, a * q / b, q, 0, n, guard=True))
 
 
 def _eindef1_lhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
     p2 = p * p
     qi = 1.0 / q
-    return _slot_sum(p2, range(n + 1), [(a, (q, q))], _theta_den(a, p2),
+    return _slot_sum(env, p2, range(n + 1), [(a, (q, q))], _theta_den(env, a, p2),
                      [(a, q), (b, q), (c * p, q), (b * c * p / a, qi)],
                      [(q, q), (a * q / b, q), (b * c * p * q, q), (c * p / (a * q), qi)],
-                     lambda k: cpow(b, n - k))
+                     lambda k: env.pow(b, n - k))
 
 
 def _eindef1_rhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
     p2 = p * p
     qi = 1.0 / q
-    return (_fact(a * q, q, p2, n) * _fact(b * q, q, p2, n)
-            * _fact(c * p * q, q, p2, n)
-            / _fact(q, q, p2, n, guard=True)
-            / _fact(a * q / b, q, p2, n, guard=True)
-            / _fact(b * c * p * q, q, p2, n, guard=True)
-            * _fact(b * c * p / (a * q), qi, p2, n)
-            / _fact(c * p / (a * q), qi, p2, n, guard=True))
+    return (_fact(env, a * q, q, p2, n) * _fact(env, b * q, q, p2, n)
+            * _fact(env, c * p * q, q, p2, n)
+            / _fact(env, q, q, p2, n, guard=True)
+            / _fact(env, a * q / b, q, p2, n, guard=True)
+            / _fact(env, b * c * p * q, q, p2, n, guard=True)
+            * _fact(env, b * c * p / (a * q), qi, p2, n)
+            / _fact(env, c * p / (a * q), qi, p2, n, guard=True))
 
 
 def _ftindef_lhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
-    return _slot_sum(p, range(n + 1), [(a, (q, q))], _theta_den(a, p),
+    return _slot_sum(env, p, range(n + 1), [(a, (q, q))], _theta_den(env, a, p),
                      [(a, q), (b, q), (c, q), (a / (b * c), q)],
                      [(q, q), (a * q / b, q), (a * q / c, q), (b * c * q, q)],
-                     lambda k: cpow(q, k))
+                     lambda k: env.pow(q, k))
 
 
 def _ftindef_rhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
-    return (_fact(a * q, q, p, n) * _fact(b * q, q, p, n)
-            * _fact(c * q, q, p, n) * _fact(a * q / (b * c), q, p, n)
-            / _fact(q, q, p, n, guard=True)
-            / _fact(a * q / b, q, p, n, guard=True)
-            / _fact(a * q / c, q, p, n, guard=True)
-            / _fact(b * c * q, q, p, n, guard=True))
+    return (_fact(env, a * q, q, p, n) * _fact(env, b * q, q, p, n)
+            * _fact(env, c * q, q, p, n) * _fact(env, a * q / (b * c), q, p, n)
+            / _fact(env, q, q, p, n, guard=True)
+            / _fact(env, a * q / b, q, p, n, guard=True)
+            / _fact(env, a * q / c, q, p, n, guard=True)
+            / _fact(env, b * c * q, q, p, n, guard=True))
 
 
 def _wce_lhs(env, prm, n):
@@ -689,10 +575,10 @@ def _wce_lhs(env, prm, n):
     q2 = q * q
     q3 = q2 * q
     # (q^2; q, p^2)_{k-1} and (q; q, p^2)_{k-1} enter squared
-    return _slot_sum(p2, range(1, n + 1), [(q2, (q2,))], _theta_den(q2, p2),
+    return _slot_sum(env, p2, range(1, n + 1), [(q2, (q2,))], _theta_den(env, q2, p2),
                      [(q2, q), (q2, q), (c * p, q), (c * p, qi)],
                      [(q, q), (q, q), (c * p * q3, q), (c * p / q3, qi)],
-                     lambda k: cpow(q, 2 * (n - k)))
+                     lambda k: env.pow(q, 2 * (n - k)))
 
 
 def _wce_rhs(env, prm, n):
@@ -700,131 +586,112 @@ def _wce_rhs(env, prm, n):
     p2 = p * p
     qi = 1.0 / q
     q3 = q * q * q
-    f_q3 = _fact(q3, q, p2, n - 1)
-    f_q = _fact(q, q, p2, n - 1, guard=True)
-    return (f_q3 * f_q3 * _fact(c * p * q, q, p2, n - 1)
-            / (f_q * f_q) / _fact(c * p * q3, q, p2, n - 1, guard=True)
-            * _fact(c * p / q, qi, p2, n - 1)
-            / _fact(c * p / q3, qi, p2, n - 1, guard=True))
+    f_q3 = _fact(env, q3, q, p2, n - 1)
+    f_q = _fact(env, q, q, p2, n - 1, guard=True)
+    return (f_q3 * f_q3 * _fact(env, c * p * q, q, p2, n - 1)
+            / (f_q * f_q) / _fact(env, c * p * q3, q, p2, n - 1, guard=True)
+            * _fact(env, c * p / q, qi, p2, n - 1)
+            / _fact(env, c * p / q3, qi, p2, n - 1, guard=True))
 
 
 def _cubicodds_lhs(env, prm, n):
     a, q = prm["a"], prm["q"]
     q3 = q * q * q
-    one_minus_q = ONE - sc(q)
-    one_minus_aq = ONE - sc(a * q)
-    if abs(one_minus_q) < POLE_TOL or abs(one_minus_aq) < POLE_TOL:
-        raise DomainRejected("1 - q or 1 - aq within pole tolerance")
-    num3 = _Slot(a * q, q3, 0)
-    den3 = _Slot(a * q**5, q3, 0, guard=True)
-    argq = sc(q)        # q^{2k+1}
-    arga = sc(a * q)    # a q^{2k+1}
-    tot = _Sum()
-    for k in range(n):
-        f = ONE - arga
-        tot = tot + (cpow(q, -k) * num3.val / den3.val
-                     * (ONE - argq) / one_minus_q
-                     * f * f / (one_minus_aq * one_minus_aq))
-        num3.step(); den3.step()
-        argq = argq * q * q
-        arga = arga * q * q
-    return tot.value(ZERO)
+    one_minus_q = env.den(env.one - q)
+    one_minus_aq = env.den(env.one - a * q)
+    num3 = _Slot(env, a * q, q3, 0)
+    den3 = _Slot(env, a * q**5, q3, 0, guard=True)
+
+    def terms():
+        argq = env.zero + q        # q^{2k+1}
+        arga = env.zero + a * q    # a q^{2k+1}
+        for k in range(n):
+            f = env.one - arga
+            yield (env.pow(q, -k) * num3.val / den3.val
+                   * (env.one - argq) / one_minus_q
+                   * f * f / (one_minus_aq * one_minus_aq))
+            num3.step(); den3.step()
+            argq = argq * q * q
+            arga = arga * q * q
+    return env.sum(terms())
 
 
 def _cubicodds_rhs(env, prm, n):
     a, q = prm["a"], prm["q"]
     q3 = q * q * q
-    one_minus_q = ONE - sc(q)
-    one_minus_aq = ONE - sc(a * q)
-    if abs(one_minus_q) < POLE_TOL or abs(one_minus_aq) < POLE_TOL:
-        raise DomainRejected("1 - q or 1 - aq within pole tolerance")
-    qn_ = (ONE - cpow(q, n)) / one_minus_q
-    return (qn_ * qn_ * (ONE - sc(a) * cpow(q, n)) / one_minus_aq
-            * _fact(a * q**4, q3, 0, n - 1)
-            / _fact(a * q**5, q3, 0, n - 1, guard=True)
-            * cpow(q, 1 - n))
+    one_minus_q = env.den(env.one - q)
+    one_minus_aq = env.den(env.one - a * q)
+    qn_ = (env.one - env.pow(q, n)) / one_minus_q
+    return (qn_ * qn_ * (env.one - a * env.pow(q, n)) / one_minus_aq
+            * _fact(env, a * q**4, q3, 0, n - 1)
+            / _fact(env, a * q**5, q3, 0, n - 1, guard=True)
+            * env.pow(q, 1 - n))
 
 
 def _m00_lhs(env, prm, n):
     a, b, c, d = prm["a"], prm["b"], prm["c"], prm["d"]
     q, r, s, p = prm["q"], prm["r"], prm["s"], prm["p"]
     w = r * s / q
-    if abs(sc(d)) < POLE_TOL:
-        raise DomainRejected("d within pole tolerance of zero")
-    den0 = _theta_den(a * d, p) * _theta_den(b / d, p) * _theta_den(c / d, p)
-    return _slot_sum(p, range(n + 1),
+    env.den(d)
+    den0 = (_theta_den(env, a * d, p) * _theta_den(env, b / d, p)
+            * _theta_den(env, c / d, p))
+    return _slot_sum(env, p, range(n + 1),
                      [(a * d, (r * s,)), (b / d, (r / q,)), (c / d, (s / q,))], den0,
                      [(a * d * d / (b * c), q), (b, r), (c, s), (a, w)],
                      [(d * q, q), (a * d * r / c, r), (a * d * s / b, s),
                       (b * c * r * s / (d * q), w)],
-                     lambda k: cpow(q, k))
+                     lambda k: env.pow(q, k))
 
 
 def _m00_rhs(env, prm, n):
     a, b, c, d = prm["a"], prm["b"], prm["c"], prm["d"]
     q, r, s, p = prm["q"], prm["r"], prm["s"], prm["p"]
     w = r * s / q
-    if abs(sc(d)) < POLE_TOL:
-        raise DomainRejected("d within pole tolerance of zero")
-    denc = (_theta_den(a * d, p) * _theta_den(b / d, p)
-            * _theta_den(c / d, p) * _theta_den(a * d / (b * c), p)) * d
-    t_a, _ = theta_scaled(a, p)
-    t_b, _ = theta_scaled(b, p)
-    t_c, _ = theta_scaled(c, p)
-    t_bal, _ = theta_scaled(a * d * d / (b * c), p)
+    env.den(d)
+    denc = (_theta_den(env, a * d, p) * _theta_den(env, b / d, p)
+            * _theta_den(env, c / d, p) * _theta_den(env, a * d / (b * c), p)) * d
+    t_a, _ = env.theta(a, p)
+    t_b, _ = env.theta(b, p)
+    t_c, _ = env.theta(c, p)
+    t_bal, _ = env.theta(a * d * d / (b * c), p)
     first = (t_a * t_b * t_c * t_bal / denc
-             * _fact(a * d * d * q / (b * c), q, p, n)
-             * _fact(b * r, r, p, n) * _fact(c * s, s, p, n)
-             * _fact(a * w, w, p, n)
-             / _fact(d * q, q, p, n, guard=True)
-             / _fact(a * d * r / c, r, p, n, guard=True)
-             / _fact(a * d * s / b, s, p, n, guard=True)
-             / _fact(b * c * r * s / (d * q), w, p, n, guard=True))
-    t_d, _ = theta_scaled(d, p)
-    t_adb, _ = theta_scaled(a * d / b, p)
-    t_adc, _ = theta_scaled(a * d / c, p)
-    t_bcd, _ = theta_scaled(b * c / d, p)
+             * _fact(env, a * d * d * q / (b * c), q, p, n)
+             * _fact(env, b * r, r, p, n) * _fact(env, c * s, s, p, n)
+             * _fact(env, a * w, w, p, n)
+             / _fact(env, d * q, q, p, n, guard=True)
+             / _fact(env, a * d * r / c, r, p, n, guard=True)
+             / _fact(env, a * d * s / b, s, p, n, guard=True)
+             / _fact(env, b * c * r * s / (d * q), w, p, n, guard=True))
+    t_d, _ = env.theta(d, p)
+    t_adb, _ = env.theta(a * d / b, p)
+    t_adc, _ = env.theta(a * d / c, p)
+    t_bcd, _ = env.theta(b * c / d, p)
     second = t_d * t_adb * t_adc * t_bcd / denc
-    return _guard_diff(first, second)
+    return env.sum((first, -second))
 
 
 # ---------------------------------------------------------------------------
 # rational identities (hypergeometric degenerations)
 # ---------------------------------------------------------------------------
 
-def _hyper_den_guard(x, exact: bool):
-    if exact:
-        if x == 0:
-            raise DomainRejected("vanishing denominator in hypergeometric form")
-    elif abs(complex(x)) < POLE_TOL:
-        raise DomainRejected("denominator within pole tolerance of zero")
-    return x
-
-
 def _hyper_lhs(env, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
-    exact = isinstance(c, Fraction)
-    den = _hyper_den_guard(c * d * (c * h + d * g), exact)
-    tot = _Sum()
-    for k in range(n + 1):
-        tot = tot + (g * k + c) * (h * k + d) * (2 * g * h * k + c * h + d * g)
-    return tot.value(0) / den
+    den = env.den(c * d * (c * h + d * g))
+    return env.sum((g * k + c) * (h * k + d) * (2 * g * h * k + c * h + d * g)
+                   for k in range(n + 1)) / den
 
 
 def _hyper_rhs(env, prm, n):
     c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
-    exact = isinstance(c, Fraction)
-    den1 = _hyper_den_guard(2 * c * d * (c * h + d * g), exact)
-    den2 = _hyper_den_guard(2 * (c * h + d * g), exact)
+    den1 = env.den(2 * c * d * (c * h + d * g))
+    den2 = env.den(2 * (c * h + d * g))
     first = (g * n + c) * (h * n + h + d) * (g * n + g + c) * (h * n + d) / den1
     second = (d - h) * (c - g) / den2
-    if exact:
-        return first - second
-    return _guard_diff(first, second)
+    return env.sum((first, -second))
 
 
 def _sumcubes_lhs(env, prm, n):
-    return sum(k**3 for k in range(n + 1))
+    return env.sum(k**3 for k in range(n + 1))
 
 
 def _sumcubes_rhs(env, prm, n):
@@ -836,9 +703,8 @@ def _sumcubes_rhs(env, prm, n):
 # ---------------------------------------------------------------------------
 
 # Each builder env(params, exact) returns what an identity's evaluators run
-# over: a q-provider or a specialization context.  The theta-factorial and
-# rational identities call theta and plain arithmetic directly, so theirs is
-# None.
+# over, a fresh one per call: the q-provider, a specialization context, the
+# theta environment, or the plain double or Fraction arithmetic.
 
 def _q_env(prm, exact):
     return ExactQ() if exact else NumericQ(prm["q"])
@@ -860,8 +726,12 @@ def _bq_env(prm, exact):
     return BQCtx(prm["b"], prm["q"])
 
 
-def _no_env(prm, exact):
-    return None
+def _theta_env(prm, exact):
+    return ThetaEnv()
+
+
+def _rational_env(prm, exact):
+    return ExactArith() if exact else ScaledArith()
 
 
 @dataclass(frozen=True)
@@ -993,29 +863,29 @@ def _build_catalog() -> dict:
 
     # --- theta-factorial identities -----------------------------------------
     add("indef-1", "very-well-poised indefinite q-summation", "Schlosser (2004) indefinite sum",
-        _no_env, (("a", _CPX), ("b", _CPX), ("q", _CPX)), _NUM, _indef1_lhs, _indef1_rhs)
+        _theta_env, (("a", _CPX), ("b", _CPX), ("q", _CPX)), _NUM, _indef1_lhs, _indef1_rhs)
     add("e-indef-1", "elliptic indefinite summation with balancing parameter", "elliptic indefinite sum",
-        _no_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
+        _theta_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
         _NUM, _eindef1_lhs, _eindef1_rhs)
     add("ft-indef", "Frenkel-Turaev summation, e -> a q^(n+1) case", "Frenkel-Turaev 10V9 specialization",
-        _no_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
+        _theta_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("q", _CPX), ("p", _CPX)),
         _NUM, _ftindef_lhs, _ftindef_rhs)
     add("warnaar-cubes-elliptic", "elliptic extension of Warnaar's cube sum", "elliptic indefinite sum at a = b = q^2",
-        _no_env, (("c", _CPX), ("q", _CPX), ("p", _CPX)), _NUM, _wce_lhs, _wce_rhs,
+        _theta_env, (("c", _CPX), ("q", _CPX), ("p", _CPX)), _NUM, _wce_lhs, _wce_rhs,
         min_n=1)
     add("cubic-odds", "cubic basic hypergeometric extension of the odd sum", "cubic-base odd-number sum",
-        _no_env, (("a", _CPX), ("q", _CPX)), _NUM, _cubicodds_lhs, _cubicodds_rhs)
+        _theta_env, (("a", _CPX), ("q", _CPX)), _NUM, _cubicodds_lhs, _cubicodds_rhs)
     add("m00", "Gasper-Schlosser multibasic indefinite summation", "Gasper-Schlosser (2005), Eq. (3.19) at t = q",
-        _no_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("d", _CPX),
+        _theta_env, (("a", _CPX), ("b", _CPX), ("c", _CPX), ("d", _CPX),
                   ("q", _CPX), ("r", _CPX), ("s", _CPX), ("p", _CPX)),
         _NUM, _m00_lhs, _m00_rhs)
 
     # --- rational identities -------------------------------------------------
     add("bigid-hyper", "hypergeometric version of the main identity", "main theorem, classical limit",
-        _no_env, _SIG_CDGH, _NUM_EXR, _hyper_lhs, _hyper_rhs,
+        _rational_env, _SIG_CDGH, _NUM_EXR, _hyper_lhs, _hyper_rhs,
         exact_domain=_cdgh_exact_domain)
     add("sum-cubes", "sum of the first n cubes", "classical",
-        _no_env, (), _NUM_EXR, _sumcubes_lhs, _sumcubes_rhs)
+        _rational_env, (), _NUM_EXR, _sumcubes_lhs, _sumcubes_rhs)
 
     return {d.id: d for d in ids}
 
@@ -1075,8 +945,7 @@ def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, exact: bool = Fa
 
 
 def _metrics_numeric(lv, rv) -> tuple[float, float]:
-    lv = lv if isinstance(lv, ScaledComplex) else sc(complex(lv))
-    rv = rv if isinstance(rv, ScaledComplex) else sc(complex(rv))
+    lv, rv = sc(lv), sc(rv)
     diff = lv - rv
     mx = lv if lv.log2_abs() >= rv.log2_abs() else rv
     if mx.log2_abs() <= 0:
@@ -1108,7 +977,7 @@ def _exact_sides(desc: IdentityDescriptor, params: dict, n: int, mode: str):
         params = {k: Fraction(v) for k, v in params.items()}
     if desc.exact_domain is not None and not desc.exact_domain(params):
         raise DomainRejected(f"{desc.id}: inadmissible exact parameters")
-    return _eval_sides(desc, params, n, mode == MODE_EXACT_Q)
+    return _eval_sides(desc, params, n, exact=True)
 
 
 def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
@@ -1178,7 +1047,7 @@ def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
     """Parent evaluator: the parent's shapes in a limit environment.
 
     env(prm, exact) builds what the shapes evaluate over (a limit context,
-    a q-provider, or None for the theta-factorial family), once per side, as in
+    a q-provider, or the theta environment), once per side, as in
     _eval_sides.  scale(P, prm, n) is the normalizing prefactor over the
     q-provider P for prm["q"]; both sides are multiplied by it.
     """
@@ -1233,11 +1102,11 @@ def _build_edges() -> dict:
     add("tel-c-a", "tel-c-a1", "a = 1; multiply both sides by q^(2n+1)", aq_at(one),
         lambda P, prm, n: P.qpow(2 * n + 1))
     add("tel-c-b", "tel-c-b1", "b = 1; divide both sides by [2] q", bq_at(one),
-        lambda P, prm, n: P.one() / (P.qn_den(2) * P.qpow(1)))
+        lambda P, prm, n: P.one / (P.qn_den(2) * P.qpow(1)))
     add("tel-c-a", "tel-c-aq", "a = q; multiply both sides by [2] q^(2n+1)", aq_at(q_),
         lambda P, prm, n: P.qn(2) * P.qpow(2 * n + 1))
     add("tel-c-b", "tel-c-bq", "b = q; divide both sides by [2][3] q", bq_at(q_),
-        lambda P, prm, n: P.one() / (P.qn_den(2) * P.qn_den(3) * P.qpow(1)))
+        lambda P, prm, n: P.one / (P.qn_den(2) * P.qn_den(3) * P.qpow(1)))
 
     # even-number chain (rising products, m = 1 and m = 2 reindexed)
     add("tel-a", "sum-even", "m = 1, index shifted by one", n_map=lambda n: n - 1,
@@ -1248,9 +1117,9 @@ def _build_edges() -> dict:
     add("even-abq", "even-aq", "b -> 0 closed form", _aq_env)
     add("even-abq", "even-bq", "a -> 0 closed form", _bq_env)
     add("even-aq", "triangular", "a -> infinity; divide both sides by [2]", qctx,
-        lambda P, prm, n: P.one() / P.qn_den(2))
+        lambda P, prm, n: P.one / P.qn_den(2))
     add("even-bq", "triangular", "b -> 0; divide both sides by [2]", qctx,
-        lambda P, prm, n: P.one() / P.qn_den(2))
+        lambda P, prm, n: P.one / P.qn_den(2))
     add("even-aq", "warnaar-triangular", "a -> 0; multiply by q^(2n-1)/[2]", qinv,
         lambda P, prm, n: P.qpow(2 * n - 1) / P.qn_den(2))
     add("even-bq", "warnaar-triangular", "b -> infinity; multiply by q^(2n-1)/[2]", qinv,
@@ -1258,11 +1127,11 @@ def _build_edges() -> dict:
     add("even-aq", "warnaar-cubes", "a = 1; multiply by q^(2n-1)/[2]^2", aq_at(one),
         lambda P, prm, n: P.qpow(2 * n - 1) / (P.qn_den(2) * P.qn_den(2)))
     add("even-bq", "even-b1", "b = 1; divide both sides by [2]^2", bq_at(one),
-        lambda P, prm, n: P.one() / (P.qn_den(2) * P.qn_den(2)))
+        lambda P, prm, n: P.one / (P.qn_den(2) * P.qn_den(2)))
     add("even-aq", "even-aqq", "a = q; multiply both sides by [2] q^(2n-1)", aq_at(q_),
         lambda P, prm, n: P.qn(2) * P.qpow(2 * n - 1))
     add("even-bq", "even-bqq", "b = q; divide both sides by [3]^2", bq_at(q_),
-        lambda P, prm, n: P.one() / (P.qn_den(3) * P.qn_den(3)))
+        lambda P, prm, n: P.one / (P.qn_den(3) * P.qn_den(3)))
 
     # m = 2 rising-product chain
     add("m3rising", "m3rising-aq", "p = 0 then b -> 0 closed form", _aq_env)

@@ -14,8 +14,10 @@ polynomial of quadratic degree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
-from .errors import NonIntegerExponent, OutOfRange
+from .errors import DomainRejected, NonIntegerExponent, OutOfRange
 
 
 def _coeff(c):
@@ -222,16 +224,40 @@ def q_binomial(n: int, k: int) -> RationalFn:
     return RationalFn(num, den)
 
 
-class ExactQ:
+class ExactArith:
+    """Environment arithmetic over Fractions, the exact-rational mode's.
+
+    sum(terms) is a plain left fold from the first term (zero when empty),
+    with no cancellation guard, and den(x) rejects only an exact zero.
+    """
+
+    one = Fraction(1)
+    zero = Fraction(0)
+
+    def sum(self, terms):
+        terms = iter(terms)
+        return reduce(add, terms, next(terms, self.zero))
+
+    def pow(self, base, z):
+        return base ** z
+
+    def den(self, x):
+        if x == self.zero:
+            raise DomainRejected("vanishing denominator")
+        return x
+
+
+class ExactQ(ExactArith):
     """Exact q-arithmetic provider for identity evaluators.
 
     Exposes the same small interface as the numeric provider: q-numbers,
-    powers of q, zero and one, over RationalFn values.  Non-integral
-    exponents raise NonIntegerExponent, since only integer powers of q live
-    in the Laurent ring.
+    powers of q and the environment arithmetic, over RationalFn values.
+    Non-integral exponents raise NonIntegerExponent, since only integer
+    powers of q live in the Laurent ring.
     """
 
-    exact = True
+    one = RationalFn.one()
+    zero = RationalFn.zero()
 
     @staticmethod
     def _as_int(e) -> int:
@@ -256,9 +282,8 @@ class ExactQ:
     def qpow(self, e) -> RationalFn:
         return RationalFn.monomial(self._as_int(e))
 
-    def zero(self) -> RationalFn:
-        return RationalFn.zero()
-
-    def one(self) -> RationalFn:
-        return RationalFn.one()
+    def pow(self, base, z) -> RationalFn:
+        k = self._as_int(z)
+        out = reduce(mul, [base] * abs(k), self.one)
+        return out if k >= 0 else self.one / out
 

@@ -121,8 +121,9 @@ def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
     """The u/v (and claimed t) sequences from the named summation proof.
 
     ctx is an elliptic context (any class of `elliptic`, e.g. the one a
-    catalog identity's `env` builds) whose num/wt the sequences use.  extra
-    carries per-theorem data: m for "tel-a"/"tel-b", the four complex
+    catalog identity's `env` builds, or any object with num, wt and one)
+    whose num/wt the sequences use, so the sequences take its number type.
+    extra carries per-theorem data: m for "tel-a"/"tel-b", the four complex
     parameters c, d, g, h for "bigid".
     """
     extra = extra or {}
@@ -143,7 +144,7 @@ def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
         m = int(extra["m"])
 
         def u(k):
-            out = ONE
+            out = ctx.one
             for i in range(1, m + 2):
                 out = out * ctx.num(k + i)
             return out
@@ -165,17 +166,17 @@ def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
             raise ValueError("tel-b needs m >= 1 (t_0 vanishes at m = 0)")
 
         def u(k):
-            out = ONE
+            out = ctx.one
             for i in range(2, m + 2):
                 out = out * ctx.num(k + i)
-            return ONE / out
+            return ctx.one / out
 
         def v(k):
             return u(k - 1)
 
         def t(k):
             out = ctx.wt(k + 1) * ctx.num(m, s=k + 1)
-            den = ONE
+            den = ctx.one
             for i in range(1, m + 2):
                 den = den * ctx.num(k + i)
             return -(out / den)

@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import math
 
-from ._scaled import ONE, ScaledComplex, sc
+from ._scaled import ONE, POLE_TOL, ScaledComplex, sc
 from .errors import DivisionByZeroFactor, TruncationNotConverged, ZeroArgument
 
-#: a theta factor of smaller magnitude counts as a pole hit
-POLE_TOL = 1e-6
 #: the tail bound a truncated theta product must meet
 TAIL_TOL = 1e-14
 #: most terms a theta product may take; the widest sampled nome box

@@ -131,6 +131,9 @@ def test_sweep_small(tmp_path, capsys):
      "needs m of kind positive-integer"),
     (["--id", "tel-c-ab", "--n", "3", "--param", "b=0"], "b must be nonzero"),
     (["--id", "tel-c", "--n", "3", "--mode", "exact"], "tel-c has no exact mode"),
+    (["--id", "tel-c", "--n", "3", "--param", "p=0.95"],
+     "pinned p=(0.95+0j) is too close to the unit circle: theta at |a| = 0.957, "
+     "|p| = 0.95 needs J = 714 > MAX_TERMS = 512"),
 ])
 def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
     assert main(["verify", *argv]) == 2
@@ -141,6 +144,10 @@ def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
 def test_verify_wide_pinned_nome(capsys):
     # |p| = 0.7 needs up to 98 theta terms, within theta.MAX_TERMS
     assert main(["verify", "--id", "tel-c", "--n", "3", "--param", "p=0.7"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    # e-indef-1's nome is p^2, so p = 0.95 (nome 0.9025) still fits
+    assert main(["verify", "--id", "e-indef-1", "--n", "3", "--trials", "3",
+                 "--param", "p=0.95"]) == 0
     assert "PASS" in capsys.readouterr().out
 
 

@@ -5,13 +5,13 @@ import pytest
 
 import ellid.elliptic
 import ellid.identities
-from ellid._scaled import cpow
+from ellid._scaled import ZERO, ScaledArith, cpow
 from ellid.errors import (DomainRejected, ModeUnsupported, UnknownEdge,
                           UnknownIdentity)
 from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, catalog, edges,
                               eval_exact, evaluate, get_identity,
                               reduce_chain_check)
-from ellid.qexact import ExactQ, LaurentPoly, RationalFn, q_number
+from ellid.qexact import ExactArith, ExactQ, LaurentPoly, RationalFn, q_number
 from ellid.theta import factorial_scaled, theta_scaled
 
 REQUIRED_IDS = [
@@ -222,6 +222,23 @@ def test_domain_rejects_poles():
 def test_exact_domain_rejects_degenerate_integers():
     with pytest.raises(DomainRejected):
         evaluate("spc-2", {"c": 0, "d": 1, "g": 1, "h": 1}, 2, MODE_EXACT_Q)
+
+
+def test_sum_guards_cancellation_only_in_double():
+    # 1e6 - 1e6 + 0.5 cancels by 2e6 > COND_LIMIT = 1e5: the double sum
+    # rejects the draw, the exact sum keeps every digit
+    with pytest.raises(DomainRejected, match="cancellation"):
+        ScaledArith().sum((1e6, -1e6 + 0.5))
+    exact = ExactArith()
+    assert exact.sum((Fraction(10**6), Fraction(-10**6) + Fraction(1, 2))) == Fraction(1, 2)
+    assert exact.sum(()) is exact.zero
+    assert ScaledArith().sum(()) is ZERO
+
+
+def test_exact_env_pow():
+    P = ExactQ()
+    assert P.pow(P.qpow(1), -2) == P.qpow(-2) and P.pow(P.qpow(3), 0) == P.one
+    assert ExactArith().pow(Fraction(2, 3), -2) == Fraction(9, 4)
 
 
 def test_full_elliptic_sides_memoise_theta(monkeypatch):
