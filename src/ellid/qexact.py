@@ -9,6 +9,21 @@ multiplication, which keeps equality exact without polynomial gcd.
 q-numbers come unexpanded as (1 - q^n) / (1 - q), so a q-identity with a
 26-term sum stays a few hundred sparse monomials instead of a dense
 polynomial of quadratic degree.
+
+LaurentPoly.__mul__ picks one of three products, all exact:
+
+- monomial: when one operand has a single term, the other's map is shifted
+  and scaled (a third of the exact oracle's products, mostly by q^k or 1);
+- Kronecker substitution: when both operands have int coefficients, many
+  term products and a dense length well below their number, each operand
+  is evaluated at a power of two and the product is one big-int multiply
+  whose bytes are the coefficients (`_kronecker_mul`);
+- sparse: the dict loop over term pairs, for everything else, Fraction
+  coefficients included.
+
+There is no numpy path: importing numpy alone doubles a bare interpreter's
+peak RSS, and the products' coefficients outgrow int64 (95 bits in the
+exact_q benchmark workload).
 """
 
 from __future__ import annotations
@@ -30,6 +45,53 @@ def _coeff(c):
         return c
     f = Fraction(c)
     return f.numerator if f.denominator == 1 else f
+
+
+# Kronecker substitution runs on an all-int product with at least this many
+# term products whose dense length (span_a + span_b + 1) is at most
+# 1/_KRONECKER_SPAN_RATIO of them; elsewhere the sparse loop is as fast or
+# faster.  Both were measured on the products of the exact_q benchmark
+# workload (BENCH_exact_products.json).
+_KRONECKER_MIN_TERMS = 256
+_KRONECKER_SPAN_RATIO = 4
+
+
+def _kronecker_mul(a: dict, b: dict) -> dict | None:
+    """The product of two int-coefficient Laurent polynomials by one big-int
+    multiply, or None when it belongs to the sparse loop instead.
+
+    Each polynomial is evaluated at X = 2^(8w) (Kronecker substitution), with
+    w bytes per slot chosen so that 8w - 1 exceeds the bit length of
+    min(len a, len b) * max|a| * max|b|, a bound on every coefficient of
+    either operand and of the product.  Every slot is packed and unpacked
+    with 2^(8w - 1) added, which makes it a nonnegative base-X digit, so no
+    borrow crosses a slot and the bytes convert slot by slot.
+    """
+    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
+    slots = hi_a - lo_a + hi_b - lo_b + 1
+    if slots * _KRONECKER_SPAN_RATIO > len(a) * len(b):
+        return None
+    for c in (*a.values(), *b.values()):
+        if type(c) is not int:
+            return None
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    w = (bound.bit_length() + 9) // 8
+    half = 1 << (8 * w - 1)
+    digit = half.to_bytes(w, "little")
+
+    def evaluate(p: dict, lo: int, hi: int) -> int:
+        get = p.get
+        biased = b"".join([(get(e, 0) + half).to_bytes(w, "little")
+                           for e in range(lo, hi + 1)])
+        return (int.from_bytes(biased, "little")
+                - int.from_bytes(digit * (hi - lo + 1), "little"))
+
+    prod = evaluate(a, lo_a, hi_a) * evaluate(b, lo_b, hi_b)
+    raw = (prod + int.from_bytes(digit * slots, "little")).to_bytes(slots * w, "little")
+    frm = int.from_bytes
+    lo = lo_a + lo_b
+    vals = [frm(raw[i:i + w], "little") - half for i in range(0, slots * w, w)]
+    return {lo + k: c for k, c in enumerate(vals) if c}
 
 
 class LaurentPoly:
@@ -99,6 +161,14 @@ class LaurentPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a nonzero times a nonzero is nonzero: no zero can appear
+            ((e1, c1),) = a.items()
+            return LaurentPoly({e1 + e2: c1 * c2 for e2, c2 in b.items()})
+        if len(a) * len(b) >= _KRONECKER_MIN_TERMS:
+            out = _kronecker_mul(a, b)
+            if out is not None:
+                return LaurentPoly(out)
         out: dict[int, Fraction] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -252,8 +322,9 @@ class ExactQ(ExactArith):
 
     Exposes the same small interface as the numeric provider: q-numbers,
     powers of q and the environment arithmetic, over RationalFn values.
-    Non-integral exponents raise NonIntegerExponent, since only integer
-    powers of q live in the Laurent ring.
+    Exponents are ints or integral Fractions; anything else, a float
+    included, raises NonIntegerExponent, since only integer powers of q
+    live in the Laurent ring.
     """
 
     one = RationalFn.one()
@@ -264,8 +335,6 @@ class ExactQ(ExactArith):
         if isinstance(e, int):
             return e
         if isinstance(e, Fraction) and e.denominator == 1:
-            return int(e)
-        if isinstance(e, float) and e.is_integer():
             return int(e)
         raise NonIntegerExponent(f"exact q-mode needs integer exponents, got {e!r}")
 

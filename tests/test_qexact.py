@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellid.errors import NonIntegerExponent, OutOfRange
 from ellid.identities import eval_exact
-from ellid.qexact import ExactQ, LaurentPoly, RationalFn, q_binomial, q_number
+from ellid.qexact import (ExactQ, LaurentPoly, RationalFn, _kronecker_mul, q_binomial,
+                          q_number)
 
 
 def poly_from(d):
@@ -57,6 +58,66 @@ def test_cross_mult_equivalence(a, s, t):
     assert f == g and g == h and f == h
 
 
+def schoolbook(a: dict, b: dict) -> dict:
+    """Reference product: every term pair, then the zeros dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# polynomials past the Kronecker crossover: up to 40 consecutive exponents
+# from a negative start, with zero coefficients leaving gaps
+big_coeffs = st.one_of(st.integers(min_value=-9, max_value=9),
+                       st.sampled_from([2**100, -2**100]))
+wide_polys = st.builds(
+    lambda lo, cs: LaurentPoly.from_dict({lo + i: c for i, c in enumerate(cs)}),
+    st.integers(min_value=-30, max_value=5),
+    st.lists(big_coeffs, min_size=30, max_size=40))
+
+
+@given(wide_polys, wide_polys)
+@settings(max_examples=100, deadline=None)
+def test_kronecker_matches_schoolbook(a, b):
+    assume(not a.is_zero() and not b.is_zero())
+    got = _kronecker_mul(a.coeffs, b.coeffs)
+    assume(got is not None)
+    want = schoolbook(a.coeffs, b.coeffs)
+    assert got == want
+    assert (a * b).coeffs == want and (b * a).coeffs == want
+    assert all(type(c) is int and c != 0 for c in got.values())
+
+
+@pytest.mark.parametrize("m", [24, 33, 64])
+def test_kronecker_drops_cancelled_coefficients(m):
+    # [m]_q expanded times (1 - q) c is c - q^m c: every middle slot cancels
+    c = {e: (-1) ** e * (e + 2**100) for e in range(-(m // 3), m // 3)}
+    a = LaurentPoly.from_dict({e: 1 for e in range(m)})
+    b = LaurentPoly.from_dict(schoolbook({0: 1, 1: -1}, c))
+    assert _kronecker_mul(a.coeffs, b.coeffs) is not None
+    want = LaurentPoly.from_dict(c) - LaurentPoly.monomial(m) * LaurentPoly.from_dict(c)
+    assert a * b == want and b * a == want
+    assert 0 not in (a * b).coeffs.values()
+
+
+def test_kronecker_leaves_fractions_to_the_sparse_loop():
+    a = LaurentPoly.from_dict({e: e + 1 for e in range(-20, 20)})
+    b = LaurentPoly.from_dict({**{e: 3 - e for e in range(30)}, 7: Fraction(1, 3)})
+    assert _kronecker_mul(a.coeffs, b.coeffs) is None
+    assert (a * b).coeffs == schoolbook(a.coeffs, b.coeffs)
+    assert any(isinstance(c, Fraction) for c in (a * b).coeffs.values())
+
+
+@given(polys, st.integers(min_value=-9, max_value=9), coeffs.filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_monomial_product_shifts_and_scales(a, e, c):
+    want = LaurentPoly.from_dict({k + e: v * c for k, v in a.coeffs.items()})
+    m = LaurentPoly.monomial(e, c)
+    assert a * m == want and m * a == want
+    assert (a * LaurentPoly.zero()).is_zero() and (LaurentPoly.zero() * a).is_zero()
+
+
 def test_q_number_examples():
     assert q_number(0) == RationalFn.zero()
     assert q_number(4) == RationalFn(poly_from({0: 1, 1: 1, 2: 1, 3: 1}))
@@ -101,6 +162,10 @@ def test_exactq_rejects_fractional_exponent():
     with pytest.raises(NonIntegerExponent):
         P.qn(Fraction(1, 2))
     assert P.qpow(Fraction(4, 2)) == RationalFn.monomial(2)
+    assert P.qn(Fraction(3, 1)) == q_number(3)
+    for call in (P.qpow, P.qn, P.qn_den, lambda z: P.pow(q_number(2), z)):
+        with pytest.raises(NonIntegerExponent):
+            call(2.0)
 
 
 def test_eval_exact_examples():
