@@ -11,7 +11,8 @@ quotients convert back to ordinary complex.
 ScaledArith is the double-precision arithmetic every identity evaluator
 reaches through its environment: one, zero, a power, a cancellation-guarded
 sum and a pole-guarded denominator.  The q-provider, the elliptic contexts
-and the theta environment inherit it.
+and the theta environment inherit it.  The pole rule lives here: den and
+guard_factor (for a theta's min |factor|) raise DomainRejected.
 """
 
 from __future__ import annotations
@@ -238,3 +239,10 @@ class ScaledArith:
         if abs(x) < POLE_TOL:
             raise DomainRejected("denominator within pole tolerance of zero")
         return x
+
+
+def guard_factor(minfac: float) -> None:
+    """Reject a denominator theta whose smallest |factor| lies within POLE_TOL of zero."""
+    if minfac < POLE_TOL:
+        raise DomainRejected(f"denominator theta factor within {POLE_TOL:g} of zero "
+                             f"(min |factor| = {minfac:.3g})")

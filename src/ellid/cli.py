@@ -2,7 +2,7 @@
 
     ellid list
     ellid verify --id ID --n N [--trials T] [--seed S] [--tol X]
-                 [--mode auto|exact|numeric] [--param name=re,im ...]
+                 [--mode auto|exact] [--param name=re,im ...]
                  [--json PATH]
     ellid sweep [--n-max N] [--trials T] [--seed S] [--tol X] [--json PATH]
 
@@ -18,11 +18,11 @@ import os
 import sys
 import time
 
-from .errors import EllidError, TruncationNotConverged
+from .errors import EllidError, ResamplingExhausted, TruncationNotConverged
 from .harness import (DEFAULT_TOL, THETA_CONFIG, SampleConfig, SuiteReport,
                       result_record, run_suite, _check_tol, _sampled_check)
-from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
-                         _exact_mode, catalog, evaluate, get_identity)
+from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, _exact_mode,
+                         catalog, evaluate, get_identity)
 
 
 def _default_seed() -> int:
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=20)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    v.add_argument("--mode", choices=["auto", "exact", "numeric"], default="auto")
+    v.add_argument("--mode", choices=["auto", "exact"], default="auto")
     v.add_argument("--param", action="append", type=_parse_param, default=[],
                    metavar="name=re,im")
     v.add_argument("--json", dest="json_path", default=None)
@@ -132,12 +132,7 @@ def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     cfg = SampleConfig(seed=seed, trials=args.trials)
 
-    if args.mode == "exact":
-        mode = _exact_mode(desc)
-    elif args.mode == "numeric":
-        mode = MODE_NUMERIC
-    else:
-        mode = "auto"
+    mode = _exact_mode(desc) if args.mode == "exact" else "auto"
     fixed = _pinned_params(desc, dict(args.param), mode)
 
     t0 = time.monotonic()
@@ -156,6 +151,12 @@ def _cmd_verify(args) -> int:
             raise
         raise ValueError(f"pinned p={fixed['p']} is too close to the unit "
                          f"circle: {exc}") from exc
+    except ResamplingExhausted as exc:
+        # a pinned value on a pole rejects every draw
+        if not fixed:
+            raise
+        pinned = " ".join(f"{name}={v}" for name, v in fixed.items())
+        raise ValueError(f"pinned {pinned} rejects every draw: {exc}") from exc
 
     report = SuiteReport(config={"sample": cfg.to_dict(), "tol": args.tol,
                                  "n": args.n, "id": desc.id, "mode": args.mode,

@@ -32,10 +32,11 @@ form needs q != 0 and ABQCtx needs b != 0 (it divides by b); a violation
 raises ValueError.
 
 Every context is also the environment its identities' evaluators run over:
-it inherits one, zero, pow, sum and den from _scaled.ScaledArith.  An
-evaluator written against num, wt and that arithmetic therefore runs
-unchanged over any other object that provides them, such as a context
-written outside the package over mpmath.
+it inherits one, zero, pow, sum and den from _scaled.ScaledArith.  Each
+denominator factor 1 - x goes through den, each denominator theta through
+_scaled.guard_factor.  An evaluator written against num, wt and that
+arithmetic therefore runs unchanged over any other object that provides
+them, such as a context written outside the package over mpmath.
 
 A FullEllipticCtx memoises theta for its lifetime; the identity path builds
 one per side of a check.
@@ -49,9 +50,8 @@ from __future__ import annotations
 
 import math
 
-from ._scaled import ONE, ScaledArith, ScaledComplex, cpow, sc
-from .errors import PoleProximity
-from .theta import POLE_TOL, theta_scaled
+from ._scaled import ONE, ScaledArith, ScaledComplex, cpow, guard_factor, sc
+from .theta import theta_scaled
 
 
 class FullEllipticCtx(ScaledArith):
@@ -104,10 +104,7 @@ class FullEllipticCtx(ScaledArith):
         bot = ONE
         for x in dens:
             val, mf = self._theta_of(x)
-            if mf < POLE_TOL:
-                raise PoleProximity(
-                    f"denominator theta factor within {POLE_TOL:g} of zero "
-                    f"(min |factor| = {mf:.3g})")
+            guard_factor(mf)
             bot = bot * val
         return top / bot
 
@@ -147,15 +144,6 @@ class _ClosedFormCtx(ScaledArith):
         if self.q == 0:
             raise ValueError("q must be nonzero")
 
-    def _f(self, x) -> ScaledComplex:
-        return ONE - x
-
-    def _fd(self, x) -> ScaledComplex:
-        out = ONE - x
-        if abs(out) < POLE_TOL:
-            raise PoleProximity(f"denominator factor 1 - x within {POLE_TOL:g} of zero")
-        return out
-
     def qpow(self, e) -> ScaledComplex:
         return cpow(self.q, e)
 
@@ -178,19 +166,21 @@ class ABQCtx(_ClosedFormCtx):
         a_, b_ = self._shifted_ab(s)
         q = self.q
         qz = self.qpow(z)
-        f, fd = self._f, self._fd
-        return (f(qz) * f(a_ * qz) * f(b_ * q * q) * f(a_ / b_)) / (
-            fd(sc(q)) * fd(a_ * q) * fd(b_ * qz * q) * fd(a_ * qz / (b_ * q)))
+        den = self.den
+        return ((ONE - qz) * (ONE - a_ * qz) * (ONE - b_ * q * q) * (ONE - a_ / b_)) / (
+            den(ONE - sc(q)) * den(ONE - a_ * q) * den(ONE - b_ * qz * q)
+            * den(ONE - a_ * qz / (b_ * q)))
 
     def wt(self, k, s=0) -> ScaledComplex:
         a_, b_ = self._shifted_ab(s)
         q = self.q
         q2 = q * q
         qk = self.qpow(k)
-        f, fd = self._f, self._fd
-        return (f(a_ * qk * qk * q) * f(b_ * q) * f(b_ * q2) * f(a_ / (b_ * q)) * f(a_ / b_)) / (
-            fd(a_ * q) * fd(b_ * qk * q) * fd(b_ * qk * q2)
-            * fd(a_ * qk / (b_ * q)) * fd(a_ * qk / b_)) * qk
+        den = self.den
+        return ((ONE - a_ * qk * qk * q) * (ONE - b_ * q) * (ONE - b_ * q2)
+                * (ONE - a_ / (b_ * q)) * (ONE - a_ / b_)) / (
+            den(ONE - a_ * q) * den(ONE - b_ * qk * q) * den(ONE - b_ * qk * q2)
+            * den(ONE - a_ * qk / (b_ * q)) * den(ONE - a_ * qk / b_)) * qk
 
 
 class AQCtx(_ClosedFormCtx):
@@ -208,14 +198,14 @@ class AQCtx(_ClosedFormCtx):
         a_ = self._shifted_a(s)
         q = self.q
         qz = self.qpow(z)
-        return (self._f(qz) * self._f(a_ * qz)) / (
-            self._fd(sc(q)) * self._fd(a_ * q)) * q / qz
+        return ((ONE - qz) * (ONE - a_ * qz)) / (
+            self.den(ONE - sc(q)) * self.den(ONE - a_ * q)) * q / qz
 
     def wt(self, k, s=0) -> ScaledComplex:
         a_ = self._shifted_a(s)
         q = self.q
         qk = self.qpow(k)
-        return self._f(a_ * qk * qk * q) / self._fd(a_ * q) / qk
+        return (ONE - a_ * qk * qk * q) / self.den(ONE - a_ * q) / qk
 
 
 class BQCtx(_ClosedFormCtx):
@@ -232,23 +222,23 @@ class BQCtx(_ClosedFormCtx):
         b_ = self._shifted_b(s)
         q = self.q
         qz = self.qpow(z)
-        return (self._f(qz) * self._f(b_ * q * q)) / (
-            self._fd(sc(q)) * self._fd(b_ * qz * q))
+        return ((ONE - qz) * (ONE - b_ * q * q)) / (
+            self.den(ONE - sc(q)) * self.den(ONE - b_ * qz * q))
 
     def wt(self, k, s=0) -> ScaledComplex:
         b_ = self._shifted_b(s)
         q = self.q
         q2 = q * q
         qk = self.qpow(k)
-        return (self._f(b_ * q) * self._f(b_ * q2)) / (
-            self._fd(b_ * qk * q) * self._fd(b_ * qk * q2)) * qk
+        return ((ONE - b_ * q) * (ONE - b_ * q2)) / (
+            self.den(ONE - b_ * qk * q) * self.den(ONE - b_ * qk * q2)) * qk
 
 
 class QCtx(_ClosedFormCtx):
     """Plain q-numbers: [z]_q = (1 - q^z)/(1 - q), W(k) = q^k."""
 
     def num(self, z, s=0) -> ScaledComplex:
-        return self._f(self.qpow(z)) / self._fd(sc(self.q))
+        return (ONE - self.qpow(z)) / self.den(ONE - sc(self.q))
 
     def wt(self, k, s=0) -> ScaledComplex:
         return self.qpow(k)
@@ -264,7 +254,7 @@ class QInvCtx(_ClosedFormCtx):
     def num(self, z, s=0) -> ScaledComplex:
         q = self.q
         qz = self.qpow(z)
-        return self._f(qz) / self._fd(sc(q)) * q / qz
+        return (ONE - qz) / self.den(ONE - sc(q)) * q / qz
 
     def wt(self, k, s=0) -> ScaledComplex:
         return ONE / self.qpow(k)

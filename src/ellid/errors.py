@@ -1,4 +1,4 @@
-"""Exception hierarchy for the ellid package."""
+"""Exception hierarchy for the ellid package; every pole test raises DomainRejected."""
 
 
 class EllidError(Exception):
@@ -11,14 +11,6 @@ class ZeroArgument(EllidError):
 
 class TruncationNotConverged(EllidError):
     """Theta tail bound not met within theta.MAX_TERMS terms."""
-
-
-class DivisionByZeroFactor(EllidError):
-    """A reciprocal shifted-factorial factor vanishes (within pole tolerance)."""
-
-
-class PoleProximity(EllidError):
-    """A denominator theta factor is closer to zero than the pole tolerance."""
 
 
 class NonIntegerExponent(EllidError):
@@ -48,7 +40,8 @@ class UnknownEdge(EllidError):
 class DomainRejected(EllidError):
     """Parameter draw hits a pole / degenerate denominator of the identity.
 
-    Carries a short description of the offending quantity in args[0].
+    The one rejection signal (den, guard_factor, ExactQ.qn_den); the harness
+    redraws on it.  Carries a short description of the offending quantity.
     """
 
 

@@ -2,11 +2,10 @@
 
 Parameter draws are derived counter-style from a SHA-256 stream keyed by
 (seed, identity, n, trial), so a draw depends only on its coordinates, never
-on execution order.  Draws that hit a pole of the identity
-(any denominator theta factor within the pole tolerance) are rejected and
-redrawn from the same stream.  The pole test is the check itself: the first
-evaluation that does not reject its draw is the reported result, so each
-accepted draw is evaluated exactly once.
+on execution order.  A draw whose evaluation raises DomainRejected (near a
+pole, or cancelling) is redrawn from the same stream.  The pole test is the
+check itself: the first evaluation that does not reject its draw is the
+reported result, so each accepted draw is evaluated exactly once.
 
 Reports serialize to a stable JSON schema:
 
@@ -17,10 +16,10 @@ Reports serialize to a stable JSON schema:
       "summary": { id: { "trials", "failures", "max_rel_err" } },
       "timings": {...} }
 
-Complex numbers are two-element real arrays; exact-mode entries replace
-lhs/rhs by canonical coefficient maps { exponent: "rational-string" } of the
-cross-normalized Laurent polynomials (lhs.num * rhs.den and rhs.num * lhs.den,
-which are equal exactly when the identity holds).  Two runs with the same
+Complex numbers are two-element real arrays; exact-q entries replace lhs/rhs
+by canonical coefficient maps { exponent: "rational-string" } of the result's
+Laurent-polynomial sides, the cross-normalized lhs.num * rhs.den and
+rhs.num * lhs.den that the check compared.  Two runs with the same
 configuration produce byte-identical JSON except for the timings block.
 """
 
@@ -38,25 +37,27 @@ from .errors import DomainRejected, ModeUnsupported, ResamplingExhausted
 from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
                          VerificationResult, _exact_mode, edges, evaluate,
                          get_edge, get_identity, reduce_chain_check)
-from .qexact import RationalFn
-from .theta import MAX_TERMS, POLE_TOL, TAIL_TOL
+from ._scaled import POLE_TOL
+from .qexact import LaurentPoly
+from .theta import MAX_TERMS, TAIL_TOL
 
 DEFAULT_TOL = 1e-8
 EDGE_TOL = 1e-10
 #: the theta truncation every report records
 THETA_CONFIG = {"max_terms": MAX_TERMS, "tail_tol": TAIL_TOL}
+#: sampling boxes: |q| of a base; re, im and least |z| of a free parameter
+Q_ANNULUS = (0.3, 0.9)
+BOX = (-1.0, 1.0)
+BOX_EXCLUSION = 0.05
 
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Sampling boxes and determinism controls for the harness."""
+    """Determinism controls and nome radius; to_dict adds the fixed boxes."""
 
     seed: int = 0
     trials: int = 100
     p_radius: float = 0.5
-    q_annulus: tuple = (0.3, 0.9)
-    box: tuple = (-1.0, 1.0)
-    box_exclusion: float = 0.05
     max_resamples: int = 1000
 
     def __post_init__(self):
@@ -69,8 +70,8 @@ class SampleConfig:
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "trials": self.trials,
-                "p_radius": self.p_radius, "q_annulus": list(self.q_annulus),
-                "box": list(self.box), "box_exclusion": self.box_exclusion,
+                "p_radius": self.p_radius, "q_annulus": list(Q_ANNULUS),
+                "box": list(BOX), "box_exclusion": BOX_EXCLUSION,
                 "pole_tol": POLE_TOL, "max_resamples": self.max_resamples}
 
 
@@ -95,16 +96,16 @@ class _CounterRng:
         return lo + self._u64() % (hi - lo + 1)
 
 
-def _draw_box(rng: _CounterRng, cfg: SampleConfig) -> complex:
-    lo, hi = cfg.box
+def _draw_box(rng: _CounterRng) -> complex:
+    lo, hi = BOX
     while True:
         z = complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
-        if abs(z) >= cfg.box_exclusion:
+        if abs(z) >= BOX_EXCLUSION:
             return z
 
 
-def _draw_q(rng: _CounterRng, cfg: SampleConfig) -> complex:
-    rmin, rmax = cfg.q_annulus
+def _draw_q(rng: _CounterRng) -> complex:
+    rmin, rmax = Q_ANNULUS
     mod = rng.uniform(rmin, rmax)
     ang = rng.uniform(-math.pi, math.pi)
     return mod * cmath.exp(1j * ang)
@@ -128,7 +129,7 @@ def _draw_params(rng: _CounterRng, signature, cfg: SampleConfig, ident_id: str,
         if name in fixed:
             prm[name] = fixed[name]
         elif name == "q":
-            prm[name] = _draw_q(rng, cfg)
+            prm[name] = _draw_q(rng)
         elif name == "p":
             prm[name] = _draw_p(rng, cfg)
         elif name == "r":
@@ -138,7 +139,7 @@ def _draw_params(rng: _CounterRng, signature, cfg: SampleConfig, ident_id: str,
         elif name == "m":
             prm[name] = rng.randint(0 if ident_id == "tel-a" else 1, 3)
         else:
-            prm[name] = _draw_box(rng, cfg)
+            prm[name] = _draw_box(rng)
     return prm
 
 
@@ -234,14 +235,10 @@ def _coeff_map(poly) -> dict:
     return {str(e): str(c) for e, c in sorted(poly.coeffs.items())}
 
 
-def _cross_coeff_maps(lhs: RationalFn, rhs: RationalFn) -> tuple[dict, dict]:
-    return (_coeff_map(lhs.num * rhs.den), _coeff_map(rhs.num * lhs.den))
-
-
 def result_record(res: VerificationResult) -> dict:
     """One VerificationResult in the JSON schema."""
-    if isinstance(res.lhs, RationalFn) and isinstance(res.rhs, RationalFn):
-        lhs, rhs = _cross_coeff_maps(res.lhs, res.rhs)
+    if isinstance(res.lhs, LaurentPoly):
+        lhs, rhs = _coeff_map(res.lhs), _coeff_map(res.rhs)
     else:
         lhs, rhs = _cnum(res.lhs), _cnum(res.rhs)
     params = {}

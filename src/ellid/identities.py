@@ -1,8 +1,10 @@
 """The identity catalog: every verified summation identity of the package.
 
 Each identity is registered with independent LHS and RHS evaluators (the RHS
-is never derived from the LHS), a parameter signature, the verification modes
-it supports, and a domain predicate realizing pole rejection.  Identity
+is never derived from the LHS), a parameter signature and the verification
+modes it supports.  A draw near a pole is rejected by the evaluation itself:
+the environment's den and the theta-factor guard _scaled.guard_factor raise
+DomainRejected, and so does a plain division by an exact zero.  Identity
 families:
 
   * plain q-identities evaluated over a q-arithmetic provider, so one
@@ -43,13 +45,12 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Optional
 
-from ._scaled import ONE, ScaledArith, ScaledComplex, cpow, sc
+from ._scaled import ONE, ScaledArith, ScaledComplex, cpow, guard_factor, sc
 from .elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx,
                        QCtx, QInvCtx)
-from .errors import (DivisionByZeroFactor, DomainRejected, ModeUnsupported,
-                     PoleProximity, UnknownEdge, UnknownIdentity)
+from .errors import DomainRejected, ModeUnsupported, UnknownEdge, UnknownIdentity
 from .qexact import ExactArith, ExactQ, RationalFn
-from .theta import POLE_TOL, factorial_scaled, theta_scaled
+from .theta import factorial_scaled, theta_scaled
 
 MODE_NUMERIC = "numeric-elliptic"
 MODE_EXACT_Q = "exact-q"
@@ -468,23 +469,22 @@ class _Slot:
 
     def step(self):
         v, mf = self.env.theta(self.arg, self.p)
-        if self.guard and mf < POLE_TOL:
-            raise PoleProximity("denominator factorial factor within pole tolerance")
+        if self.guard:
+            guard_factor(mf)
         self.val = self.val * v
         self.arg = self.arg * self.base
 
 
 def _fact(env, x, base, p, k: int, guard: bool = False):
     val, mf = env.fact(x, base, p, k)
-    if guard and mf < POLE_TOL:
-        raise PoleProximity("denominator factorial factor within pole tolerance")
+    if guard:
+        guard_factor(mf)
     return val
 
 
 def _theta_den(env, x, p):
     val, mf = env.theta(x, p)
-    if mf < POLE_TOL:
-        raise PoleProximity("denominator theta within pole tolerance of zero")
+    guard_factor(mf)
     return val
 
 
@@ -939,7 +939,8 @@ def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, exact: bool = Fa
     try:
         lhs = desc.lhs(desc.env(params, exact), params, n)
         rhs = desc.rhs(desc.env(params, exact), params, n)
-    except (PoleProximity, DivisionByZeroFactor, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        # a pinned zero in a theta-family argument, e.g. a * q / b at b = 0
         raise DomainRejected(str(exc)) from exc
     return lhs, rhs
 
@@ -955,12 +956,23 @@ def _metrics_numeric(lv, rv) -> tuple[float, float]:
     return abs(diff), rel
 
 
-def _to_reported(v):
-    if isinstance(v, ScaledComplex):
-        return v.to_complex()
-    if isinstance(v, (int, float, Fraction)):
-        return complex(v)
-    return v
+def _compare(pairs, exact: bool, tol: float):
+    """Compare (lhs, rhs) pairs: the first pair's sides, abs_err, rel_err, passed.
+
+    Numeric: the largest _metrics_numeric over the pairs, passing at rel_err
+    <= tol.  Exact: every pair equal; a RationalFn pair is compared, and
+    returned, as its cross products lhs.num * rhs.den and rhs.num * lhs.den.
+    """
+    if not exact:
+        errs = [_metrics_numeric(lv, rv) for lv, rv in pairs]
+        abs_err, rel_err = map(max, zip(*errs))
+        lv, rv = pairs[0]
+        return complex(lv), complex(rv), abs_err, rel_err, rel_err <= tol
+    pairs = [(lv.num * rv.den, rv.num * lv.den) if isinstance(lv, RationalFn)
+             else (lv, rv) for lv, rv in pairs]
+    equal = all(lv == rv for lv, rv in pairs)
+    err = 0.0 if equal else math.inf
+    return (*pairs[0], err, err, equal)
 
 
 def _exact_mode(desc: IdentityDescriptor) -> str:
@@ -985,8 +997,9 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
     """Evaluate both sides of an identity independently and compare.
 
     Numeric mode ("auto") passes when rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1)
-    is at most tol; exact modes require exact equality (cross-multiplied
-    for RationalFn values).
+    is at most tol; exact modes require exact equality.  An exact-q result's
+    lhs and rhs are the cross products lhs.num * rhs.den and rhs.num * lhs.den
+    (eval_exact returns the RationalFn sides themselves).
     """
     desc = get_identity(ident)
     if mode == "auto":
@@ -995,15 +1008,11 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
         raise ModeUnsupported(f"{desc.id} does not support mode {mode!r}")
 
     if mode == MODE_NUMERIC:
-        lv, rv = _eval_sides(desc, params, n)
-        abs_err, rel_err = _metrics_numeric(lv, rv)
-        return VerificationResult(desc.id, mode, n, _to_reported(lv), _to_reported(rv),
-                                  abs_err, rel_err, rel_err <= tol, dict(params), trial)
-
-    lv, rv = _exact_sides(desc, params, n, mode)
-    equal = lv == rv
-    err = 0.0 if equal else math.inf
-    return VerificationResult(desc.id, mode, n, lv, rv, err, err, equal,
+        sides = _eval_sides(desc, params, n)
+    else:
+        sides = _exact_sides(desc, params, n, mode)
+    return VerificationResult(desc.id, mode, n,
+                              *_compare([sides], mode != MODE_NUMERIC, tol),
                               dict(params), trial)
 
 
@@ -1228,19 +1237,9 @@ def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
 
     try:
         p_lhs, p_rhs = edge.parent_sides(params, n, exact)
-    except (PoleProximity, DivisionByZeroFactor, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise DomainRejected(str(exc)) from exc
     c_lhs, c_rhs = _eval_sides(child, params, n, exact)
-
-    if exact:
-        equal = (p_lhs == c_lhs) and (p_rhs == c_rhs)
-        err = 0.0 if equal else math.inf
-        return VerificationResult(ident, mode, n, p_lhs, c_lhs, err, err, equal,
-                                  dict(params), trial)
-
-    abs_l, rel_l = _metrics_numeric(p_lhs, c_lhs)
-    abs_r, rel_r = _metrics_numeric(p_rhs, c_rhs)
-    rel = max(rel_l, rel_r)
-    return VerificationResult(ident, MODE_NUMERIC, n, _to_reported(p_lhs),
-                              _to_reported(c_lhs), max(abs_l, abs_r), rel,
-                              rel <= tol, dict(params), trial)
+    return VerificationResult(ident, mode if exact else MODE_NUMERIC, n,
+                              *_compare([(p_lhs, c_lhs), (p_rhs, c_rhs)], exact, tol),
+                              dict(params), trial)

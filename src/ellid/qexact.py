@@ -345,7 +345,7 @@ class ExactQ(ExactArith):
         """A q-number used as a denominator; rejects the exact zero [0]_q."""
         n = self._as_int(z)
         if n == 0:
-            raise ZeroDivisionError("[0]_q denominator")
+            raise DomainRejected("[0]_q denominator")
         return q_number(n)
 
     def qpow(self, e) -> RationalFn:

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 
-from ._scaled import ONE, POLE_TOL, ScaledComplex, sc
-from .errors import DivisionByZeroFactor, TruncationNotConverged, ZeroArgument
+from ._scaled import ONE, ScaledComplex, guard_factor, sc
+from .errors import TruncationNotConverged, ZeroArgument
 
 #: the tail bound a truncated theta product must meet
 TAIL_TOL = 1e-14
@@ -132,7 +132,7 @@ def factorial_scaled(a, base: complex, p: complex, k: int) -> tuple[ScaledComple
     """Scaled theta shifted factorial (a; base, p)_k with min-factor tracking.
 
     For k < 0 the standard reciprocal convention applies; a reciprocal factor
-    within POLE_TOL of zero (or exactly zero) raises DivisionByZeroFactor.
+    within _scaled.POLE_TOL of zero (or exactly zero) raises DomainRejected.
     """
     minfac = math.inf
     out = ONE
@@ -151,10 +151,7 @@ def factorial_scaled(a, base: complex, p: complex, k: int) -> tuple[ScaledComple
             if mf < minfac:
                 minfac = mf
             out = out * val
-        if minfac < POLE_TOL or out.is_zero():
-            raise DivisionByZeroFactor(
-                f"reciprocal factorial factor within {POLE_TOL:g} of zero "
-                f"(min |factor| = {minfac:.3g})")
+        guard_factor(minfac)
         out = ONE / out
     return out, minfac
 

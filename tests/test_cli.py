@@ -52,6 +52,8 @@ def test_bad_flags_exit_2(capsys):
     assert main(["verify", "--id", "geo", "--n", "1",
                  "--theta-terms", "64"]) == 2             # no such flag
     assert main(["sweep", "--theta-terms", "64"]) == 2     # no such flag
+    assert main(["verify", "--id", "geo", "--n", "1",
+                 "--mode", "numeric"]) == 2               # no such mode
 
 
 def test_env_seed(monkeypatch, capsys):
@@ -134,6 +136,11 @@ def test_sweep_small(tmp_path, capsys):
     (["--id", "tel-c", "--n", "3", "--param", "p=0.95"],
      "pinned p=(0.95+0j) is too close to the unit circle: theta at |a| = 0.957, "
      "|p| = 0.95 needs J = 714 > MAX_TERMS = 512"),
+    (["--id", "indef-1", "--n", "3", "--param", "b=0"],
+     "pinned b=0j rejects every draw: no admissible draw for indef-1 (n=3, trial=0) "
+     "within 1000 resamples"),
+    (["--id", "m00", "--n", "3", "--param", "d=0"],
+     "pinned d=0j rejects every draw"),
 ])
 def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
     assert main(["verify", *argv]) == 2

@@ -6,10 +6,12 @@ import pytest
 import ellid.elliptic
 import ellid.identities
 from ellid._scaled import ZERO, ScaledArith, cpow
+from ellid.elliptic import BQCtx, FullEllipticCtx
 from ellid.errors import (DomainRejected, ModeUnsupported, UnknownEdge,
                           UnknownIdentity)
+from ellid.harness import result_record
 from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, catalog, edges,
-                              eval_exact, evaluate, get_identity,
+                              eval_exact, evaluate, get_edge, get_identity,
                               reduce_chain_check)
 from ellid.qexact import ExactArith, ExactQ, LaurentPoly, RationalFn, q_number
 from ellid.theta import factorial_scaled, theta_scaled
@@ -217,6 +219,56 @@ def test_domain_rejects_poles():
     # a = 1/q puts a zero in the denominator theta of every elliptic number
     with pytest.raises(DomainRejected):
         evaluate("tel-c", {"a": 2.0, "b": 0.3, "q": 0.5, "p": 0.2}, 3)
+
+
+_THETA_POLE = "denominator theta factor within 1e-06 of zero"
+
+
+@pytest.mark.parametrize("reject, message", [
+    # a q = 1 zeroes the denominator theta(a q) of W(k)
+    (lambda: FullEllipticCtx(2.0, 0.3, 0.5, 0.2).wt(1), _THETA_POLE),
+    # b q^(k+1) = 1 zeroes the closed form's 1 - b q^(k+1)
+    (lambda: BQCtx(4.0, 0.5).wt(1), "denominator within pole tolerance of zero"),
+    # (a; b)_{-1} = 1 / (1 - a / b)
+    (lambda: factorial_scaled(0.5, 0.5, 0, -1), _THETA_POLE),
+    (lambda: ExactQ().qn_den(0), r"\[0\]_q denominator"),
+    # a d = 1 zeroes theta(a d; p) in the denominator of every m00 term
+    (lambda: evaluate("m00", {"a": 2.0, "b": 0.7, "c": 0.6, "d": 0.5, "q": 0.5,
+                              "r": 0.25, "s": 0.125, "p": 0.2}, 2), _THETA_POLE),
+])
+def test_every_pole_test_raises_domain_rejected(reject, message):
+    with pytest.raises(DomainRejected, match=message):
+        reject()
+
+
+def test_exact_q_result_sides_are_cross_products():
+    res = evaluate("geo", {}, 2, MODE_EXACT_Q)
+    lhs, rhs = eval_exact("geo", 2)
+    assert isinstance(res.lhs, LaurentPoly) and isinstance(res.rhs, LaurentPoly)
+    assert res.lhs == lhs.num * rhs.den and res.rhs == rhs.num * lhs.den
+    rec = result_record(res)
+    # (1 + q) * (1 - q) and (1 - q^2) * 1
+    assert rec["lhs"] == rec["rhs"] == {"0": "1", "2": "-1"}
+    assert rec["pass"] and rec["rel_err"] == 0.0
+
+
+def test_edge_fails_on_parent_rhs_alone(monkeypatch):
+    # the parent's LHS still equals the child's, so only the comparison of
+    # the RHS pair can catch the perturbation
+    edge = get_edge("spc-2", "spc-4i")
+
+    def rhs_times_q(prm, n, exact):
+        lhs, rhs = edge.parent_sides(prm, n, exact)
+        return lhs, rhs * (ExactQ().qpow(1) if exact else prm["q"])
+
+    checks = [lambda: reduce_chain_check("spc-2", "spc-4i", {"q": 0.6 + 0.2j}, 4),
+              lambda: reduce_chain_check("spc-2", "spc-4i", {}, 4, mode=MODE_EXACT_Q)]
+    assert all(check().passed for check in checks)
+    monkeypatch.setitem(ellid.identities._EDGES, ("spc-2", "spc-4i"),
+                        dataclasses.replace(edge, parent_sides=rhs_times_q))
+    numeric, exact = (check() for check in checks)
+    assert not numeric.passed and numeric.lhs == pytest.approx(numeric.rhs)
+    assert not exact.passed and exact.lhs == exact.rhs
 
 
 def test_exact_domain_rejects_degenerate_integers():

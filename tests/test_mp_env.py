@@ -12,11 +12,11 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
+from ellid._scaled import POLE_TOL
 from ellid.errors import DomainRejected
 from ellid.harness import SampleConfig, sample_params
 from ellid.identities import get_identity
 from ellid.telescope import builder
-from ellid.theta import POLE_TOL
 
 DPS = 40
 N = 3
