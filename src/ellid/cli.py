@@ -21,8 +21,8 @@ import time
 from .errors import EllidError, ResamplingExhausted, TruncationNotConverged
 from .harness import (DEFAULT_TOL, THETA_CONFIG, SampleConfig, SuiteReport,
                       result_record, run_suite, _check_tol, _sampled_check)
-from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, _exact_mode,
-                         catalog, evaluate, get_identity)
+from .identities import (INT_MIN, MODE_EXACT_Q, MODE_EXACT_RATIONAL,
+                         _exact_mode, catalog, evaluate, get_identity)
 
 
 def _default_seed() -> int:
@@ -45,10 +45,6 @@ def _parse_param(text: str) -> tuple[str, complex]:
     except (ValueError, IndexError):
         raise argparse.ArgumentTypeError(
             f"expected name=re[,im], got {text!r}")
-
-
-#: least value of each integer parameter kind
-_INT_MIN = {"non-negative-integer": 0, "positive-integer": 1}
 
 
 def _pinned_params(desc, fixed: dict, mode: str) -> dict:
@@ -82,7 +78,7 @@ def _pinned_params(desc, fixed: dict, mode: str) -> dict:
         if not exact and kind == "complex":
             prm[name] = v
         elif (v.imag != 0 or not v.real.is_integer()
-              or v.real < _INT_MIN.get(kind, -math.inf)):
+              or v.real < INT_MIN.get(kind, -math.inf)):
             need = ("exact mode needs integer parameters" if exact
                     else f"{desc.id} needs {name} of kind {kind}")
             raise ValueError(f"{need}, got {name}={v}")

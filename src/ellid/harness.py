@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainRejected, ModeUnsupported, ResamplingExhausted
-from .identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
-                         VerificationResult, _exact_mode, edges, evaluate,
-                         get_edge, get_identity, reduce_chain_check)
+from .identities import (INT_MIN, MODE_EXACT_Q, MODE_EXACT_RATIONAL,
+                         MODE_NUMERIC, VerificationResult, _exact_mode, edges,
+                         evaluate, get_edge, get_identity, reduce_chain_check)
 from ._scaled import POLE_TOL
 from .qexact import LaurentPoly
 from .theta import MAX_TERMS, TAIL_TOL
@@ -45,32 +45,31 @@ DEFAULT_TOL = 1e-8
 EDGE_TOL = 1e-10
 #: the theta truncation every report records
 THETA_CONFIG = {"max_terms": MAX_TERMS, "tail_tol": TAIL_TOL}
-#: sampling boxes: |q| of a base; re, im and least |z| of a free parameter
+#: sampling boxes: |q| of a base; |p| of a nome; re, im and least |z| of a
+#: free parameter
 Q_ANNULUS = (0.3, 0.9)
+P_RADIUS = 0.5
 BOX = (-1.0, 1.0)
 BOX_EXCLUSION = 0.05
 
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Determinism controls and nome radius; to_dict adds the fixed boxes."""
+    """Determinism controls; to_dict adds the fixed boxes."""
 
     seed: int = 0
     trials: int = 100
-    p_radius: float = 0.5
     max_resamples: int = 1000
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if not 0.0 <= self.p_radius <= 0.9:
-            raise ValueError("p_radius must lie in [0, 0.9]")
         if self.max_resamples < 1:
             raise ValueError("max_resamples must be positive")
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "trials": self.trials,
-                "p_radius": self.p_radius, "q_annulus": list(Q_ANNULUS),
+                "p_radius": P_RADIUS, "q_annulus": list(Q_ANNULUS),
                 "box": list(BOX), "box_exclusion": BOX_EXCLUSION,
                 "pole_tol": POLE_TOL, "max_resamples": self.max_resamples}
 
@@ -111,18 +110,15 @@ def _draw_q(rng: _CounterRng) -> complex:
     return mod * cmath.exp(1j * ang)
 
 
-def _draw_p(rng: _CounterRng, cfg: SampleConfig) -> complex:
-    r = cfg.p_radius
-    if r == 0.0:
-        return 0j
+def _draw_p(rng: _CounterRng) -> complex:
+    r = P_RADIUS
     while True:
         z = complex(rng.uniform(-r, r), rng.uniform(-r, r))
         if abs(z) <= r:
             return z
 
 
-def _draw_params(rng: _CounterRng, signature, cfg: SampleConfig, ident_id: str,
-                 fixed: dict | None = None) -> dict:
+def _draw_params(rng: _CounterRng, signature, fixed: dict | None = None) -> dict:
     prm: dict = {}
     fixed = fixed or {}
     for name, kind in signature:
@@ -131,21 +127,20 @@ def _draw_params(rng: _CounterRng, signature, cfg: SampleConfig, ident_id: str,
         elif name == "q":
             prm[name] = _draw_q(rng)
         elif name == "p":
-            prm[name] = _draw_p(rng, cfg)
+            prm[name] = _draw_p(rng)
         elif name == "r":
             prm[name] = prm["q"] ** 2
         elif name == "s":
             prm[name] = prm["q"] ** 3
         elif name == "m":
-            prm[name] = rng.randint(0 if ident_id == "tel-a" else 1, 3)
+            prm[name] = rng.randint(INT_MIN[kind], 3)
         else:
             prm[name] = _draw_box(rng)
     return prm
 
 
 def _first_admissible(rng: _CounterRng, signature, cfg: SampleConfig,
-                      draw_id: str, fixed: dict | None, check,
-                      what: str) -> VerificationResult:
+                      fixed: dict | None, check, what: str) -> VerificationResult:
     """Draw until check(params) does not reject the draw; return its result.
 
     check is the reported evaluation itself, so an accepted draw is evaluated
@@ -153,7 +148,7 @@ def _first_admissible(rng: _CounterRng, signature, cfg: SampleConfig,
     cannot shift later trials.
     """
     for _ in range(cfg.max_resamples):
-        prm = _draw_params(rng, signature, cfg, draw_id, fixed)
+        prm = _draw_params(rng, signature, fixed)
         try:
             return check(prm)
         except DomainRejected:
@@ -170,7 +165,7 @@ def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int, tol: floa
         raise ValueError(f"{desc.id} needs n >= {desc.min_n}, got {n}")
     rng = _CounterRng(cfg.seed, desc.id, n, trial_index)
     return _first_admissible(
-        rng, desc.param_signature, cfg, desc.id, fixed,
+        rng, desc.param_signature, cfg, fixed,
         lambda prm: evaluate(desc, prm, n, MODE_NUMERIC, tol, trial_index),
         f"{desc.id} (n={n}, trial={trial_index})")
 
@@ -188,29 +183,17 @@ def sample_params(ident, cfg: SampleConfig, trial_index: int, n: int = 4,
     return _sampled_check(ident, cfg, trial_index, n, DEFAULT_TOL, fixed).params
 
 
-def _edge_signature(edge) -> tuple:
-    """Child signature extended by any parent-only parameter names."""
-    child = get_identity(edge.child)
-    parent = get_identity(edge.parent)
-    names = {name for name, _ in child.param_signature}
-    sig = list(child.param_signature)
-    for name, kind in parent.param_signature:
-        if name not in names:
-            sig.append((name, kind))
-            names.add(name)
-    return tuple(sig)
-
-
 def _sampled_edge_check(parent_id: str, child_id: str, cfg: SampleConfig,
                         trial_index: int, n: int) -> VerificationResult:
     """Degeneration-edge check at its first admissible draw."""
     edge = get_edge(parent_id, child_id)
-    lo = max(edge.min_n, get_identity(child_id).min_n)
+    child = get_identity(child_id)
+    lo = max(edge.min_n, child.min_n)
     if n < lo:
         raise ValueError(f"edge {parent_id}->{child_id} needs n >= {lo}, got {n}")
     rng = _CounterRng(cfg.seed, f"{parent_id}->{child_id}", n, trial_index)
     return _first_admissible(
-        rng, _edge_signature(edge), cfg, child_id, None,
+        rng, child.param_signature, cfg, None,
         lambda prm: reduce_chain_check(parent_id, child_id, prm, n,
                                        tol=EDGE_TOL, trial=trial_index),
         f"edge {parent_id}->{child_id} (n={n}, trial={trial_index})")
@@ -218,7 +201,11 @@ def _sampled_edge_check(parent_id: str, child_id: str, cfg: SampleConfig,
 
 def sample_edge_params(parent_id: str, child_id: str, cfg: SampleConfig,
                        trial_index: int, n: int) -> dict:
-    """Admissible draw for a degeneration edge (both endpoints evaluable)."""
+    """Admissible draw for a degeneration edge (both endpoints evaluable).
+
+    The draw has the child's parameters alone: the parent is evaluated in
+    the child's limit, at the child's parameters, and reads no others.
+    """
     return _sampled_edge_check(parent_id, child_id, cfg, trial_index, n).params
 
 
@@ -322,7 +309,7 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
     report with the mode the check would have run in, never raised; a
     configuration that could only fail part-way (n_max < 0, tol outside
     (0, 1)) raises ValueError first.  Theta products follow the 1e-14 tail
-    rule, which every nome box SampleConfig allows meets within
+    rule, which every sampled nome (|p| <= P_RADIUS) meets within
     theta.MAX_TERMS terms.
     """
     if n_max < 0:

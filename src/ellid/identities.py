@@ -3,9 +3,9 @@
 Each identity is registered with independent LHS and RHS evaluators (the RHS
 is never derived from the LHS), a parameter signature and the verification
 modes it supports.  A draw near a pole is rejected by the evaluation itself:
-the environment's den and the theta-factor guard _scaled.guard_factor raise
-DomainRejected, and so does a plain division by an exact zero.  Identity
-families:
+the environment's den and the theta environment's theta_den raise
+DomainRejected, and so do a plain division by an exact zero and a theta at a
+zero argument.  Identity families:
 
   * plain q-identities evaluated over a q-arithmetic provider, so one
     transcription serves both the numeric engine and the exact
@@ -22,18 +22,21 @@ through its environment env and the parameters prm.  Every environment
 provides one, zero, sum(terms) (a left fold from the first term, zero when
 empty), pow(base, z) and den(x) (x itself, or DomainRejected near a pole);
 the q-provider adds qn, qn_den and qpow, a context num and wt, and the theta
-environment theta(x, p) and fact(x, base, p, k), each returning (value,
-min |factor|).  The double-precision arithmetic is _scaled.ScaledArith,
-whose sum also rejects a draw that cancels beyond COND_LIMIT; the exact
-modes use qexact.ExactArith.  So an environment written outside the
-package, over mpmath say, runs every evaluator unchanged once the caller
-promotes the parameters to its number type.
+environment theta(x, p) and theta_den(x, p), both returning theta's value;
+theta_den, for a denominator, first rejects a draw whose smallest theta
+factor lies within POLE_TOL of zero.  Running shifted factorials are built
+from these two by stepping a _Slot.  The double-precision arithmetic is
+_scaled.ScaledArith, whose sum also rejects a draw that cancels beyond
+COND_LIMIT; the exact modes use qexact.ExactArith.  So an environment
+written outside the package, over mpmath say, runs every evaluator unchanged
+once the caller promotes the parameters to its number type.
 
 Degeneration edges record how each identity specializes into the next one
 down the chain (nome to zero, parameters to 0/1/q/infinity, index shifts),
 including the normalizing prefactor the specialization picks up; the checker
 evaluates the parent in its hand-derived limit form and the child directly,
-and asserts both sides agree after normalization.
+both at the child's parameters alone, and asserts both sides agree after
+normalization.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ from typing import Callable, Optional
 from ._scaled import ONE, ScaledArith, ScaledComplex, cpow, guard_factor, sc
 from .elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx,
                        QCtx, QInvCtx)
-from .errors import DomainRejected, ModeUnsupported, UnknownEdge, UnknownIdentity
+from .errors import (DomainRejected, ModeUnsupported, UnknownEdge, UnknownIdentity,
+                     ZeroArgument)
 from .qexact import ExactArith, ExactQ, RationalFn
-from .theta import factorial_scaled, theta_scaled
+from .theta import theta_scaled
 
 MODE_NUMERIC = "numeric-elliptic"
 MODE_EXACT_Q = "exact-q"
@@ -81,17 +85,19 @@ class NumericQ(ScaledArith):
 class ThetaEnv(ScaledArith):
     """The theta environment of the theta-factorial identities.
 
-    theta and fact look theta_scaled and factorial_scaled up at call time, so
-    a wrapper installed on those module globals sees every call.
+    theta and theta_den look theta_scaled up at call time, so a wrapper
+    installed on that module global sees every call.
     """
 
     def theta(self, x, p):
-        """(theta(x; p), min |factor|)."""
-        return theta_scaled(x, p)
+        """theta(x; p)."""
+        return theta_scaled(x, p)[0]
 
-    def fact(self, x, base, p, k: int):
-        """((x; base, p)_k, min |factor|)."""
-        return factorial_scaled(x, base, p, k)
+    def theta_den(self, x, p):
+        """theta(x; p) for a denominator: DomainRejected near one of its zeros."""
+        val, minfac = theta_scaled(x, p)
+        guard_factor(minfac)
+        return val
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +134,6 @@ def _sp2_lhs(P, prm, n):
     two = P.qn(2)
     return P.sum(P.qpow(2 * n - 2 * k) * (two * P.qn(k + 1) - P.qpow(k + 1))
                  for k in range(n + 1))
-
-
-def _sp2_rhs(P, prm, n):
-    r = P.qn(n + 1)
-    return r * r
 
 
 def _telc_a1_lhs(P, prm, n):
@@ -207,7 +208,7 @@ def _warnaar_cubes_lhs(P, prm, n):
 
 
 def _warnaar_cubes_rhs(P, prm, n):
-    r = P.qn(n) * P.qn(n + 1) / P.qn_den(2)
+    r = _triangular_rhs(P, prm, n)
     return r * r
 
 
@@ -303,10 +304,6 @@ def _m3r_q2a1q_rhs(P, prm, n):
 def _spc4i_lhs(P, prm, n):
     den2 = P.qn_den(2)
     return P.sum(P.qpow(n - k) * P.qn(2 * k) / den2 for k in range(1, n + 1))
-
-
-def _spc4i_rhs(P, prm, n):
-    return P.qn(n) * P.qn(n + 1) / P.qn_den(2)
 
 
 def _spc4ii_lhs(P, prm, n):
@@ -468,24 +465,17 @@ class _Slot:
         self.guard = guard
 
     def step(self):
-        v, mf = self.env.theta(self.arg, self.p)
-        if self.guard:
-            guard_factor(mf)
-        self.val = self.val * v
+        theta = self.env.theta_den if self.guard else self.env.theta
+        self.val = self.val * theta(self.arg, self.p)
         self.arg = self.arg * self.base
 
 
 def _fact(env, x, base, p, k: int, guard: bool = False):
-    val, mf = env.fact(x, base, p, k)
-    if guard:
-        guard_factor(mf)
-    return val
-
-
-def _theta_den(env, x, p):
-    val, mf = env.theta(x, p)
-    guard_factor(mf)
-    return val
+    """(x; base, p)_k: a _Slot stepped k times (an empty product for k <= 0)."""
+    slot = _Slot(env, x, base, p, guard)
+    for _ in range(k):
+        slot.step()
+    return slot.val
 
 
 def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
@@ -504,7 +494,7 @@ def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
     def terms():
         xs = [env.zero + x for x, _ in tops]
         for k in ks:
-            term = reduce(mul, [env.theta(x, p)[0] for x in xs]) / den0
+            term = reduce(mul, [env.theta(x, p) for x in xs]) / den0
             term = reduce(mul, [s.val for s in num], term)
             yield term / reduce(mul, [s.val for s in den]) * weight(k)
             for s in slots.values():
@@ -515,7 +505,7 @@ def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
 
 def _indef1_lhs(env, prm, n):
     a, b, q = prm["a"], prm["b"], prm["q"]
-    return _slot_sum(env, 0, range(n + 1), [(a, (q, q))], _theta_den(env, a, 0),
+    return _slot_sum(env, 0, range(n + 1), [(a, (q, q))], env.theta_den(a, 0),
                      [(a, q), (b, q)], [(q, q), (a * q / b, q)],
                      lambda k: env.pow(b, n - k))
 
@@ -531,7 +521,7 @@ def _eindef1_lhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
     p2 = p * p
     qi = 1.0 / q
-    return _slot_sum(env, p2, range(n + 1), [(a, (q, q))], _theta_den(env, a, p2),
+    return _slot_sum(env, p2, range(n + 1), [(a, (q, q))], env.theta_den(a, p2),
                      [(a, q), (b, q), (c * p, q), (b * c * p / a, qi)],
                      [(q, q), (a * q / b, q), (b * c * p * q, q), (c * p / (a * q), qi)],
                      lambda k: env.pow(b, n - k))
@@ -552,7 +542,7 @@ def _eindef1_rhs(env, prm, n):
 
 def _ftindef_lhs(env, prm, n):
     a, b, c, q, p = prm["a"], prm["b"], prm["c"], prm["q"], prm["p"]
-    return _slot_sum(env, p, range(n + 1), [(a, (q, q))], _theta_den(env, a, p),
+    return _slot_sum(env, p, range(n + 1), [(a, (q, q))], env.theta_den(a, p),
                      [(a, q), (b, q), (c, q), (a / (b * c), q)],
                      [(q, q), (a * q / b, q), (a * q / c, q), (b * c * q, q)],
                      lambda k: env.pow(q, k))
@@ -575,7 +565,7 @@ def _wce_lhs(env, prm, n):
     q2 = q * q
     q3 = q2 * q
     # (q^2; q, p^2)_{k-1} and (q; q, p^2)_{k-1} enter squared
-    return _slot_sum(env, p2, range(1, n + 1), [(q2, (q2,))], _theta_den(env, q2, p2),
+    return _slot_sum(env, p2, range(1, n + 1), [(q2, (q2,))], env.theta_den(q2, p2),
                      [(q2, q), (q2, q), (c * p, q), (c * p, qi)],
                      [(q, q), (q, q), (c * p * q3, q), (c * p / q3, qi)],
                      lambda k: env.pow(q, 2 * (n - k)))
@@ -633,8 +623,8 @@ def _m00_lhs(env, prm, n):
     q, r, s, p = prm["q"], prm["r"], prm["s"], prm["p"]
     w = r * s / q
     env.den(d)
-    den0 = (_theta_den(env, a * d, p) * _theta_den(env, b / d, p)
-            * _theta_den(env, c / d, p))
+    den0 = (env.theta_den(a * d, p) * env.theta_den(b / d, p)
+            * env.theta_den(c / d, p))
     return _slot_sum(env, p, range(n + 1),
                      [(a * d, (r * s,)), (b / d, (r / q,)), (c / d, (s / q,))], den0,
                      [(a * d * d / (b * c), q), (b, r), (c, s), (a, w)],
@@ -648,13 +638,10 @@ def _m00_rhs(env, prm, n):
     q, r, s, p = prm["q"], prm["r"], prm["s"], prm["p"]
     w = r * s / q
     env.den(d)
-    denc = (_theta_den(env, a * d, p) * _theta_den(env, b / d, p)
-            * _theta_den(env, c / d, p) * _theta_den(env, a * d / (b * c), p)) * d
-    t_a, _ = env.theta(a, p)
-    t_b, _ = env.theta(b, p)
-    t_c, _ = env.theta(c, p)
-    t_bal, _ = env.theta(a * d * d / (b * c), p)
-    first = (t_a * t_b * t_c * t_bal / denc
+    denc = (env.theta_den(a * d, p) * env.theta_den(b / d, p)
+            * env.theta_den(c / d, p) * env.theta_den(a * d / (b * c), p)) * d
+    first = (env.theta(a, p) * env.theta(b, p) * env.theta(c, p)
+             * env.theta(a * d * d / (b * c), p) / denc
              * _fact(env, a * d * d * q / (b * c), q, p, n)
              * _fact(env, b * r, r, p, n) * _fact(env, c * s, s, p, n)
              * _fact(env, a * w, w, p, n)
@@ -662,11 +649,8 @@ def _m00_rhs(env, prm, n):
              / _fact(env, a * d * r / c, r, p, n, guard=True)
              / _fact(env, a * d * s / b, s, p, n, guard=True)
              / _fact(env, b * c * r * s / (d * q), w, p, n, guard=True))
-    t_d, _ = env.theta(d, p)
-    t_adb, _ = env.theta(a * d / b, p)
-    t_adc, _ = env.theta(a * d / c, p)
-    t_bcd, _ = env.theta(b * c / d, p)
-    second = t_d * t_adb * t_adc * t_bcd / denc
+    second = (env.theta(d, p) * env.theta(a * d / b, p) * env.theta(a * d / c, p)
+              * env.theta(b * c / d, p) / denc)
     return env.sum((first, -second))
 
 
@@ -756,6 +740,8 @@ class IdentityDescriptor:
 _CPX = "complex"
 _NNI = "non-negative-integer"
 _PI = "positive-integer"
+#: least value of each integer parameter kind
+INT_MIN = {_NNI: 0, _PI: 1}
 
 _NUM = frozenset({MODE_NUMERIC})
 _NUM_EXQ = frozenset({MODE_NUMERIC, MODE_EXACT_Q})
@@ -790,7 +776,7 @@ def _build_catalog() -> dict:
     add("sp1", "odd-sum q-analogue from a -> infinity", "odd-number telescoping, first q-case",
         _q_env, _SIG_Q, _NUM_EXQ, _sp1_lhs, _sp1_rhs)
     add("sp2", "odd-sum q-analogue from a -> 0", "odd-number telescoping, second q-case",
-        _q_env, _SIG_Q, _NUM_EXQ, _sp2_lhs, _sp2_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _sp2_lhs, _sp1_rhs)
     add("tel-c-a1", "odd-sum specialization at a = 1", "odd-number telescoping, a = 1",
         _q_env, _SIG_Q, _NUM_EXQ, _telc_a1_lhs, _telc_a1_rhs)
     add("tel-c-b1", "odd-sum specialization at b = 1", "odd-number telescoping, b = 1",
@@ -822,7 +808,7 @@ def _build_catalog() -> dict:
     add("m3rising-q2-a1q", "rising-product case, base q^2 and a = 1/q", "base-q^2 pair, second",
         _q_env, _SIG_Q, _NUM_EXQ, _m3r_q2a1q_lhs, _m3r_q2a1q_rhs)
     add("spc-4i", "q-analogue of the sum of the first n integers", "Gaussian-binomial form",
-        _q_env, _SIG_Q, _NUM_EXQ, _spc4i_lhs, _spc4i_rhs)
+        _q_env, _SIG_Q, _NUM_EXQ, _spc4i_lhs, _triangular_rhs)
     add("spc-4ii", "q-analogue of the sum of the first n cubes", "Cigler (2014), Thm. 1 with q -> q^2",
         _q_env, _SIG_Q, _NUM_EXQ, _spc4ii_lhs, _spc4ii_rhs)
     add("spc-2", "four-parameter q-degeneration of the main identity", "main identity, q-case",
@@ -939,8 +925,9 @@ def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, exact: bool = Fa
     try:
         lhs = desc.lhs(desc.env(params, exact), params, n)
         rhs = desc.rhs(desc.env(params, exact), params, n)
-    except ZeroDivisionError as exc:
-        # a pinned zero in a theta-family argument, e.g. a * q / b at b = 0
+    except (ZeroDivisionError, ZeroArgument) as exc:
+        # a pinned zero in a theta-family argument: a * q / b at b = 0, or
+        # theta(0; p) at a = 0
         raise DomainRejected(str(exc)) from exc
     return lhs, rhs
 
@@ -1237,7 +1224,7 @@ def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
 
     try:
         p_lhs, p_rhs = edge.parent_sides(params, n, exact)
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, ZeroArgument) as exc:
         raise DomainRejected(str(exc)) from exc
     c_lhs, c_rhs = _eval_sides(child, params, n, exact)
     return VerificationResult(ident, mode if exact else MODE_NUMERIC, n,

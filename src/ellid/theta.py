@@ -36,8 +36,9 @@ from .errors import TruncationNotConverged, ZeroArgument
 
 #: the tail bound a truncated theta product must meet
 TAIL_TOL = 1e-14
-#: most terms a theta product may take; the widest sampled nome box
-#: (|p| <= 0.9) needs at most 341, while |p| = 0.95 needs 714 and raises
+#: most terms a theta product may take; the sampled nome box (|p| <= 0.5)
+#: needs at most 50 and a pinned |p| = 0.9 at most 341, while |p| = 0.95
+#: needs 714 and raises
 MAX_TERMS = 512
 
 

@@ -141,6 +141,11 @@ def test_sweep_small(tmp_path, capsys):
      "within 1000 resamples"),
     (["--id", "m00", "--n", "3", "--param", "d=0"],
      "pinned d=0j rejects every draw"),
+    # a zero theta argument: theta(a; p) and theta(c p; p^2) at p != 0
+    (["--id", "m00", "--n", "3", "--param", "a=0"],
+     "pinned a=0j rejects every draw: no admissible draw for m00 (n=3, trial=0)"),
+    (["--id", "e-indef-1", "--n", "3", "--param", "c=0"],
+     "pinned c=0j rejects every draw: no admissible draw for e-indef-1"),
 ])
 def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
     assert main(["verify", *argv]) == 2

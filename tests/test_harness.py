@@ -4,11 +4,12 @@ import pytest
 
 import ellid.harness
 from ellid.errors import DomainRejected, ResamplingExhausted
-from ellid.harness import (DEFAULT_TOL, EDGE_TOL, SampleConfig, SuiteReport,
-                           result_record, run_suite, sample_edge_params,
-                           sample_params)
-from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, evaluate,
-                              reduce_chain_check)
+from ellid.harness import (DEFAULT_TOL, EDGE_TOL, P_RADIUS, SampleConfig,
+                           SuiteReport, result_record, run_suite,
+                           sample_edge_params, sample_params)
+from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, edges, evaluate,
+                              get_identity, reduce_chain_check)
+from ellid.theta import truncation_terms
 
 
 def test_sample_determinism():
@@ -19,12 +20,6 @@ def test_sample_determinism():
     # a different trial index gives a different draw
     p3 = sample_params("bigid", cfg, 4, 5)
     assert p3 != p1
-
-
-def test_sample_p_radius_zero():
-    cfg = SampleConfig(seed=1, trials=1, p_radius=0.0)
-    prm = sample_params("tel-c", cfg, 0, 3)
-    assert prm["p"] == 0
 
 
 def test_sample_respects_domain():
@@ -53,6 +48,25 @@ def test_m00_bases_distinct():
     q, r, s = prm["q"], prm["r"], prm["s"]
     assert r == q**2 and s == q**3
     assert q != r and r != s and q != s
+
+
+def test_integer_kind_sets_least_m():
+    # tel-a's m is a non-negative integer, tel-b's a positive one
+    cfg = SampleConfig(seed=42, trials=1)
+    ms = {ident: {sample_params(ident, cfg, trial, 2)["m"] for trial in range(20)}
+          for ident in ("tel-a", "tel-b")}
+    assert 0 in ms["tel-a"] and 0 not in ms["tel-b"]
+
+
+def test_edge_draws_only_the_childs_parameters():
+    # the parent is evaluated in the child's limit, at the child's parameters
+    cfg = SampleConfig(seed=42, trials=1)
+    for e in edges():
+        child = get_identity(e.child)
+        n = max(e.min_n, child.min_n)
+        prm = sample_edge_params(e.parent, e.child, cfg, 0, n)
+        names = [name for name, _ in child.param_signature]
+        assert list(prm) == names, (e.parent, e.child)
 
 
 def test_resampling_exhausted():
@@ -118,8 +132,6 @@ def test_suite_with_edges():
 def test_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(seed=0, trials=0)
-    with pytest.raises(ValueError):
-        SampleConfig(seed=0, trials=1, p_radius=0.95)
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_resamples"):
             SampleConfig(seed=0, trials=1, max_resamples=bad)
@@ -137,10 +149,9 @@ def test_run_suite_rejects_bad_config_before_any_draw(monkeypatch):
 
 
 def test_run_suite_default_theta_terms_suffice():
-    # the widest nome box needs 341 theta terms, under theta.MAX_TERMS
+    # the sampled nome box needs at most 50 theta terms, under theta.MAX_TERMS
+    assert truncation_terms(P_RADIUS, P_RADIUS) == 50
     rep = run_suite(["basic-g"], 3, SampleConfig(seed=1, trials=3))
-    assert rep.all_passed and len(rep.results) == 12
-    rep = run_suite(["basic-g"], 3, SampleConfig(seed=1, trials=3, p_radius=0.9))
     assert rep.all_passed and len(rep.results) == 12
     assert rep.config["theta"] == {"max_terms": 512, "tail_tol": 1e-14}
 

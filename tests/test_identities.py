@@ -10,9 +10,9 @@ from ellid.elliptic import BQCtx, FullEllipticCtx
 from ellid.errors import (DomainRejected, ModeUnsupported, UnknownEdge,
                           UnknownIdentity)
 from ellid.harness import result_record
-from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, catalog, edges,
-                              eval_exact, evaluate, get_edge, get_identity,
-                              reduce_chain_check)
+from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, ThetaEnv, catalog,
+                              edges, eval_exact, evaluate, get_edge,
+                              get_identity, reduce_chain_check)
 from ellid.qexact import ExactArith, ExactQ, LaurentPoly, RationalFn, q_number
 from ellid.theta import factorial_scaled, theta_scaled
 
@@ -222,6 +222,7 @@ def test_domain_rejects_poles():
 
 
 _THETA_POLE = "denominator theta factor within 1e-06 of zero"
+_INDEF1_POLE = {"a": 2.0, "b": 0.5, "q": 0.5}
 
 
 @pytest.mark.parametrize("reject, message", [
@@ -235,6 +236,10 @@ _THETA_POLE = "denominator theta factor within 1e-06 of zero"
     # a d = 1 zeroes theta(a d; p) in the denominator of every m00 term
     (lambda: evaluate("m00", {"a": 2.0, "b": 0.7, "c": 0.6, "d": 0.5, "q": 0.5,
                               "r": 0.25, "s": 0.125, "p": 0.2}, 2), _THETA_POLE),
+    # a q / b * q = 1 zeroes the second step of the running factorial
+    # (a q / b; q)_k in the denominator of indef-1, in its sum and in its RHS
+    (lambda: evaluate("indef-1", _INDEF1_POLE, 3), _THETA_POLE),
+    (lambda: get_identity("indef-1").rhs(ThetaEnv(), _INDEF1_POLE, 3), _THETA_POLE),
 ])
 def test_every_pole_test_raises_domain_rejected(reject, message):
     with pytest.raises(DomainRejected, match=message):

@@ -1,12 +1,12 @@
 """The catalog's evaluators over environments written outside the package.
 
 An mpmath full-elliptic context and an mpmath theta environment, both
-defined here, provide one, zero, sum, pow and den plus num/wt or theta/fact.
+defined here, provide one, zero, sum, pow and den plus num/wt or
+theta/theta_den.
 The unchanged catalog lhs/rhs of tel-c, ft-indef and bigid then run at 40
 digits on a sampled draw promoted to mpc, with no ellid global patched.
 """
 
-import math
 
 import mpmath
 import pytest
@@ -78,17 +78,13 @@ class MpEllipticCtx(MpArith):
 
 
 class MpThetaEnv(MpArith):
-    """theta and shifted factorials at mpmath precision; |theta| stands in
-    for the smallest factor."""
+    """theta at mpmath precision; a denominator theta is guarded by den."""
 
     def theta(self, x, p):
-        val = mp_theta(x, p)
-        return val, abs(val)
+        return mp_theta(x, p)
 
-    def fact(self, x, base, p, k):
-        assert k >= 0
-        vals = [mp_theta(x * base**j, p) for j in range(k)]
-        return mpmath.fprod(vals), min((abs(v) for v in vals), default=math.inf)
+    def theta_den(self, x, p):
+        return self.den(mp_theta(x, p))
 
 
 def _full_ctx(prm):

@@ -1,4 +1,4 @@
-"""tools/same_report.py: equal reports apart from `timings`, or the first difference."""
+"""tools/same_report.py: equal reports apart from `timings`, or every difference."""
 
 import importlib.util
 import json
@@ -53,10 +53,23 @@ def test_one_record_differs(compare):
     other["results"][1] = dict(other["results"][1], rhs=[1.5, 0.3])
     code, out = compare(_report(), other)
     assert code == 1
-    assert out == "record ('geo', 'numeric-elliptic', 2, 1) differs\n"
+    assert out == ("record ('geo', 'numeric-elliptic', 2, 1) differs in rhs\n"
+                   "differences: 1\n")
+
+
+def test_every_differing_record_is_listed(compare):
+    other = _report()
+    other["results"][0] = dict(other["results"][0], params={})
+    other["results"][1] = {**other["results"][1], "rel_err": 1e-3, "pass": False}
+    code, out = compare(_report(), other)
+    assert code == 1
+    assert out.splitlines() == [
+        "record ('geo', 'numeric-elliptic', 2, 0) differs in params",
+        "record ('geo', 'numeric-elliptic', 2, 1) differs in rel_err, pass",
+        "differences: 2"]
 
 
 def test_config_differs(compare):
     code, out = compare(_report(), _report(config={"sample": {"seed": 4}, "tol": 1e-8}))
     assert code == 1
-    assert out == "'config' differs\n"
+    assert out == "'config' differs\ndifferences: 1\n"

@@ -49,8 +49,7 @@ def test_theta_truncation_failure():
 
 
 def test_widest_nome_box_fits_under_max_terms():
-    # the worst draw of the widest nome box SampleConfig allows has
-    # |p| = p_radius = 0.9 and reduced |a| = |p|
+    # the worst theta of a pinned |p| = 0.9 has reduced |a| = |p|
     assert truncation_terms(0.9, 0.9) == 341 <= MAX_TERMS
 
 

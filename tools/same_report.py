@@ -3,8 +3,9 @@
     python3 tools/same_report.py A.json B.json
 
 Exits 0 when the reports are equal apart from `timings`.  Otherwise prints
-the first differing record as (id, mode, n, trial), or the first differing
-top-level key, and exits 1.
+one line per difference, each differing record as (id, mode, n, trial) with
+the fields it differs in, then each differing top-level key, then the count
+of differences, and exits 1.
 """
 
 from __future__ import annotations
@@ -19,20 +20,25 @@ def _same(x, y) -> bool:
     return json.dumps(x) == json.dumps(y)
 
 
-def first_difference(a: dict, b: dict) -> str | None:
-    """A description of the first difference outside `timings`, or None."""
+def differences(a: dict, b: dict) -> list[str]:
+    """A description of each difference outside `timings`, in report order."""
+    out = []
     for ra, rb in zip_longest(a.get("results", []), b.get("results", [])):
-        if not _same(ra, rb):
-            rec = ra if ra is not None else rb
-            where = tuple(rec.get(k) for k in ("id", "mode", "n", "trial"))
-            if ra is None or rb is None:
-                side = "first" if ra is None else "second"
-                return f"record {where} is missing from the {side} report"
-            return f"record {where} differs"
+        if _same(ra, rb):
+            continue
+        rec = ra if ra is not None else rb
+        where = tuple(rec.get(k) for k in ("id", "mode", "n", "trial"))
+        if ra is None or rb is None:
+            side = "first" if ra is None else "second"
+            out.append(f"record {where} is missing from the {side} report")
+            continue
+        fields = [k for k in dict.fromkeys([*ra, *rb])
+                  if not _same(ra.get(k), rb.get(k))]
+        out.append(f"record {where} differs in {', '.join(fields)}")
     for key in sorted((set(a) | set(b)) - {"timings", "results"}):
         if not _same(a.get(key), b.get(key)):
-            return f"{key!r} differs"
-    return None
+            out.append(f"{key!r} differs")
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -43,10 +49,12 @@ def main(argv: list[str]) -> int:
     for path in argv:
         with open(path) as fh:
             reports.append(json.load(fh))
-    diff = first_difference(*reports)
-    if diff is None:
+    diffs = differences(*reports)
+    if not diffs:
         return 0
-    print(diff)
+    for line in diffs:
+        print(line)
+    print(f"differences: {len(diffs)}")
     return 1
 
 
