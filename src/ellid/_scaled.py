@@ -9,9 +9,9 @@ arbitrarily long products of such factors remain representable; the final
 quotients convert back to ordinary complex.
 
 ScaledArith is the double-precision arithmetic every identity evaluator
-reaches through its environment: one, zero, a power, a cancellation-guarded
-sum and a pole-guarded denominator.  The q-provider, the elliptic contexts
-and the theta environment inherit it.  The pole rule lives here: den and
+reaches through its environment: one, zero, lift (a number into the field),
+a power, a cancellation-guarded sum and a pole-guarded denominator.  The
+q-provider, the elliptic contexts and the theta environment inherit it.  The pole rule lives here: den and
 guard_factor (for a theta's min |factor|) raise DomainRejected.
 """
 
@@ -216,6 +216,7 @@ class ScaledArith:
 
     one = ONE
     zero = ZERO
+    lift = staticmethod(sc)
     pow = staticmethod(cpow)
 
     def sum(self, terms) -> ScaledComplex:

@@ -25,107 +25,120 @@ or huge parameter values into another:
           [z] = (1-q^z)(1-b q^2) / ((1-q)(1-b q^(z+1))),      W(k) = (1-bq)(1-bq^2)/((1-bq^(k+1))(1-bq^(k+2))) * q^k;
     QCtx(q)         : both limits, [z]_q = (1-q^z)/(1-q) and W(k) = q^k.
 
-Every context's num(z) and wt(k) return ScaledComplex values; write
-complex(AQCtx(a, q).num(z)) for a plain number.  FullEllipticCtx validates
-its inputs (|p| < 1, q != 0, and a, b nonzero when p != 0), every closed
-form needs q != 0 and ABQCtx needs b != 0 (it divides by b); a violation
-raises ValueError.
+Every context reaches numbers only through its environment's arithmetic:
+one, zero, lift(x), pow, den, sum, and theta/theta_den for the quotients.
+So num(z) and wt(k) return values of that field: ScaledComplex for the
+contexts here, which inherit _scaled.ScaledArith (write
+complex(AQCtx(a, q).num(z)) for a plain number).  Another field is a mixin
+listed first, e.g. class MpEllipticCtx(MpField, FullEllipticCtx): pass,
+with the parameters passed in that field.  FullEllipticCtx validates its
+inputs (|p| < 1, q != 0, and a, b nonzero when p != 0), every closed form
+needs q != 0 and ABQCtx needs b != 0 (it divides by b); a violation raises
+ValueError.  Each denominator factor 1 - x goes through den, each
+denominator theta through theta_den.
 
-Every context is also the environment its identities' evaluators run over:
-it inherits one, zero, pow, sum and den from _scaled.ScaledArith.  Each
-denominator factor 1 - x goes through den, each denominator theta through
-_scaled.guard_factor.  An evaluator written against num, wt and that
-arithmetic therefore runs unchanged over any other object that provides
-them, such as a context written outside the package over mpmath.
-
-A FullEllipticCtx memoises theta for its lifetime; the identity path builds
-one per side of a check.
-
-A parameter shift a -> a q^(2s), b -> b q^s is the s argument of num and
-wt; the power q^s is materialized at evaluation time through the single
-principal-branch power convention of cpow.
+ThetaEnv, the double theta environment, memoises theta for its lifetime;
+FullEllipticCtx is one, and the identity path builds one per side of a
+check.  A parameter shift a -> a q^(2s), b -> b q^s is the s argument of
+num and wt; every power of q, q^s included, is computed by qpow.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._scaled import ONE, ScaledArith, ScaledComplex, cpow, guard_factor, sc
+from ._scaled import ScaledArith, guard_factor
 from .theta import theta_scaled
 
 
-class FullEllipticCtx(ScaledArith):
-    """Elliptic numbers/weights as theta quotients (any nome, incl. p = 0).
+class ThetaEnv(ScaledArith):
+    """ScaledArith plus theta and theta_den, memoised for the environment's lifetime.
 
-    A context memoises theta_scaled for its lifetime, keyed by the exact
-    representation of the argument, so a repeated factor such as theta(q) or
-    theta(a/b) is computed once and gets the value a fresh call would give.
-    The identity path builds one context per side of a check, so the two
-    sides never share a memo.
+    The memo is keyed by the exact representation of the argument and by
+    the nome (a theta-family environment is asked at p, p^2 and 0), and a
+    hit is the value a fresh call would give.  The key tells signed zeros
+    apart: complex(-3, 0.0) and complex(-3, -0.0) compare and hash equal,
+    yet lie on either side of the branch cut of the logarithm inside
+    theta_scaled.  A NaN key never hits.  theta_scaled is looked up at call
+    time, so a wrapper installed on that module global sees every call.
     """
 
-    def __init__(self, a, b, q, p):
-        self.a = complex(a)
-        self.b = complex(b)
-        self.q = complex(q)
-        self.p = complex(p)
-        if not abs(self.p) < 1:
-            raise ValueError("|p| < 1 required")
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
-        if self.p != 0 and (self.a == 0 or self.b == 0):
-            raise ValueError("a and b must be nonzero when p != 0")
+    def __init__(self):
         self._theta = {}
 
-    def qpow(self, z) -> ScaledComplex:
-        return cpow(self.q, z)
-
-    def _theta_of(self, x: ScaledComplex):
-        """(theta(x; p), min |factor|), computed once per argument.
-
-        The key tells signed zeros apart: complex(-3, 0.0) and
-        complex(-3, -0.0) compare and hash equal, yet lie on either side of
-        the branch cut of the logarithm inside theta_scaled.  A NaN key never
-        hits, so it is recomputed.
-        """
+    def _theta_of(self, x, p):
+        x = self.lift(x)
         m = x.m
         key = (x.e, m.real, m.imag,
-               math.copysign(1.0, m.real), math.copysign(1.0, m.imag))
+               math.copysign(1.0, m.real), math.copysign(1.0, m.imag), p)
         hit = self._theta.get(key)
         if hit is None:
-            hit = self._theta[key] = theta_scaled(x, self.p)
+            hit = self._theta[key] = theta_scaled(x, p)
         return hit
 
-    def _tquot(self, nums, dens) -> ScaledComplex:
-        top = ONE
-        for x in nums:
-            val, _ = self._theta_of(x)
-            top = top * val
-        bot = ONE
-        for x in dens:
-            val, mf = self._theta_of(x)
-            guard_factor(mf)
-            bot = bot * val
-        return top / bot
+    def theta(self, x, p):
+        """theta(x; p)."""
+        return self._theta_of(x, p)[0]
+
+    def theta_den(self, x, p):
+        """theta(x; p) for a denominator: DomainRejected near one of its zeros."""
+        val, minfac = self._theta_of(x, p)
+        guard_factor(minfac)
+        return val
+
+
+class QEnv(ScaledArith):
+    """An environment with a nonzero base q: its powers and the (a, b) shift."""
+
+    def __init__(self, q):
+        if q == 0:
+            raise ValueError("q must be nonzero")
+        self.q = q
+
+    def qpow(self, z):
+        """q^z, the one place a context computes a power of q."""
+        return self.pow(self.q, z)
 
     def _shifted_ab(self, s):
         qs = self.qpow(s)
-        return sc(self.a) * qs * qs, sc(self.b) * qs
+        return self.lift(self.a) * qs * qs, self.lift(self.b) * qs
 
-    def num_from_power(self, qz: ScaledComplex, s=0) -> ScaledComplex:
+
+class FullEllipticCtx(ThetaEnv, QEnv):
+    """Elliptic numbers/weights as theta quotients (any nome, incl. p = 0)."""
+
+    def __init__(self, a, b, q, p):
+        if not abs(p) < 1:
+            raise ValueError("|p| < 1 required")
+        QEnv.__init__(self, q)
+        if p != 0 and (a == 0 or b == 0):
+            raise ValueError("a and b must be nonzero when p != 0")
+        ThetaEnv.__init__(self)
+        self.a, self.b, self.p = a, b, p
+
+    def _tquot(self, nums, dens):
+        p = self.p
+        top = bot = self.one
+        for x in nums:
+            top = top * self.theta(x, p)
+        for x in dens:
+            bot = bot * self.theta_den(x, p)
+        return top / bot
+
+    def num_from_power(self, qz, s=0):
         """[z] with q^z supplied explicitly (used by the ellipticity checks)."""
         a_, b_ = self._shifted_ab(s)
         q = self.q
         q2 = q * q
         return self._tquot(
             [qz, a_ * qz, b_ * q2, a_ / b_],
-            [sc(q), a_ * q, b_ * qz * q, a_ * qz / (b_ * q)],
+            [self.lift(q), a_ * q, b_ * qz * q, a_ * qz / (b_ * q)],
         )
 
-    def num(self, z, s=0) -> ScaledComplex:
+    def num(self, z, s=0):
         return self.num_from_power(self.qpow(z), s)
 
-    def wt(self, k, s=0) -> ScaledComplex:
+    def wt(self, k, s=0):
         a_, b_ = self._shifted_ab(s)
         q = self.q
         q2 = q * q
@@ -136,138 +149,124 @@ class FullEllipticCtx(ScaledArith):
         ) * qk
 
 
-class _ClosedFormCtx(ScaledArith):
-    """Shared plumbing for the p = 0 closed forms."""
-
-    def __init__(self, q):
-        self.q = complex(q)
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
-
-    def qpow(self, e) -> ScaledComplex:
-        return cpow(self.q, e)
-
-
-class ABQCtx(_ClosedFormCtx):
+class ABQCtx(QEnv):
     """a,b;q-numbers and weights (p = 0)."""
 
     def __init__(self, a, b, q):
         super().__init__(q)
-        self.a = complex(a)
-        self.b = complex(b)
-        if self.b == 0:
+        if b == 0:
             raise ValueError("b must be nonzero")
+        self.a, self.b = a, b
 
-    def _shifted_ab(self, s):
-        qs = self.qpow(s)
-        return sc(self.a) * qs * qs, sc(self.b) * qs
-
-    def num(self, z, s=0) -> ScaledComplex:
+    def num(self, z, s=0):
         a_, b_ = self._shifted_ab(s)
         q = self.q
         qz = self.qpow(z)
-        den = self.den
-        return ((ONE - qz) * (ONE - a_ * qz) * (ONE - b_ * q * q) * (ONE - a_ / b_)) / (
-            den(ONE - sc(q)) * den(ONE - a_ * q) * den(ONE - b_ * qz * q)
-            * den(ONE - a_ * qz / (b_ * q)))
+        one, den = self.one, self.den
+        return ((one - qz) * (one - a_ * qz) * (one - b_ * q * q) * (one - a_ / b_)) / (
+            den(one - self.lift(q)) * den(one - a_ * q) * den(one - b_ * qz * q)
+            * den(one - a_ * qz / (b_ * q)))
 
-    def wt(self, k, s=0) -> ScaledComplex:
+    def wt(self, k, s=0):
         a_, b_ = self._shifted_ab(s)
         q = self.q
         q2 = q * q
         qk = self.qpow(k)
-        den = self.den
-        return ((ONE - a_ * qk * qk * q) * (ONE - b_ * q) * (ONE - b_ * q2)
-                * (ONE - a_ / (b_ * q)) * (ONE - a_ / b_)) / (
-            den(ONE - a_ * q) * den(ONE - b_ * qk * q) * den(ONE - b_ * qk * q2)
-            * den(ONE - a_ * qk / (b_ * q)) * den(ONE - a_ * qk / b_)) * qk
+        one, den = self.one, self.den
+        return ((one - a_ * qk * qk * q) * (one - b_ * q) * (one - b_ * q2)
+                * (one - a_ / (b_ * q)) * (one - a_ / b_)) / (
+            den(one - a_ * q) * den(one - b_ * qk * q) * den(one - b_ * qk * q2)
+            * den(one - a_ * qk / (b_ * q)) * den(one - a_ * qk / b_)) * qk
 
 
-class AQCtx(_ClosedFormCtx):
+class AQCtx(QEnv):
     """a;q-numbers and weights (p = 0, b -> 0 or b -> infinity)."""
 
     def __init__(self, a, q):
         super().__init__(q)
-        self.a = complex(a)
+        self.a = a
 
     def _shifted_a(self, s):
         qs = self.qpow(s)
-        return sc(self.a) * qs * qs
+        return self.lift(self.a) * qs * qs
 
-    def num(self, z, s=0) -> ScaledComplex:
+    def num(self, z, s=0):
         a_ = self._shifted_a(s)
         q = self.q
         qz = self.qpow(z)
-        return ((ONE - qz) * (ONE - a_ * qz)) / (
-            self.den(ONE - sc(q)) * self.den(ONE - a_ * q)) * q / qz
+        one = self.one
+        return ((one - qz) * (one - a_ * qz)) / (
+            self.den(one - self.lift(q)) * self.den(one - a_ * q)) * q / qz
 
-    def wt(self, k, s=0) -> ScaledComplex:
+    def wt(self, k, s=0):
         a_ = self._shifted_a(s)
         q = self.q
         qk = self.qpow(k)
-        return (ONE - a_ * qk * qk * q) / self.den(ONE - a_ * q) / qk
+        return (self.one - a_ * qk * qk * q) / self.den(self.one - a_ * q) / qk
 
 
-class BQCtx(_ClosedFormCtx):
+class BQCtx(QEnv):
     """(b;q)-numbers and weights (p = 0, a -> 0 or a -> infinity)."""
 
     def __init__(self, b, q):
         super().__init__(q)
-        self.b = complex(b)
+        self.b = b
 
     def _shifted_b(self, s):
-        return sc(self.b) * self.qpow(s)
+        return self.lift(self.b) * self.qpow(s)
 
-    def num(self, z, s=0) -> ScaledComplex:
+    def num(self, z, s=0):
         b_ = self._shifted_b(s)
         q = self.q
         qz = self.qpow(z)
-        return ((ONE - qz) * (ONE - b_ * q * q)) / (
-            self.den(ONE - sc(q)) * self.den(ONE - b_ * qz * q))
+        one = self.one
+        return ((one - qz) * (one - b_ * q * q)) / (
+            self.den(one - self.lift(q)) * self.den(one - b_ * qz * q))
 
-    def wt(self, k, s=0) -> ScaledComplex:
+    def wt(self, k, s=0):
         b_ = self._shifted_b(s)
         q = self.q
         q2 = q * q
         qk = self.qpow(k)
-        return ((ONE - b_ * q) * (ONE - b_ * q2)) / (
-            self.den(ONE - b_ * qk * q) * self.den(ONE - b_ * qk * q2)) * qk
+        one = self.one
+        return ((one - b_ * q) * (one - b_ * q2)) / (
+            self.den(one - b_ * qk * q) * self.den(one - b_ * qk * q2)) * qk
 
 
-class QCtx(_ClosedFormCtx):
+class QCtx(QEnv):
     """Plain q-numbers: [z]_q = (1 - q^z)/(1 - q), W(k) = q^k."""
 
-    def num(self, z, s=0) -> ScaledComplex:
-        return (ONE - self.qpow(z)) / self.den(ONE - sc(self.q))
+    def num(self, z, s=0):
+        return (self.one - self.qpow(z)) / self.den(self.one - self.lift(self.q))
 
-    def wt(self, k, s=0) -> ScaledComplex:
+    def wt(self, k, s=0):
         return self.qpow(k)
 
 
-class QInvCtx(_ClosedFormCtx):
+class QInvCtx(QEnv):
     """The other one-parameter-free limit: a -> 0 of aq (= b -> inf of bq).
 
     [z] -> [z]_q q^(1-z) and W(k) -> q^(-k); used only by the degeneration
     edges.
     """
 
-    def num(self, z, s=0) -> ScaledComplex:
+    def num(self, z, s=0):
         q = self.q
         qz = self.qpow(z)
-        return (ONE - qz) / self.den(ONE - sc(q)) * q / qz
+        return (self.one - qz) / self.den(self.one - self.lift(q)) * q / qz
 
-    def wt(self, k, s=0) -> ScaledComplex:
-        return ONE / self.qpow(k)
+    def wt(self, k, s=0):
+        return self.one / self.qpow(k)
 
 
 class ClassicalCtx(ScaledArith):
     """q -> 1 degeneration: [z] = z and W = 1 (for the hypergeometric forms)."""
 
-    def num(self, z, s=0) -> ScaledComplex:
-        return sc(z)
+    def num(self, z, s=0):
+        return self.lift(z)
 
-    def wt(self, k, s=0) -> ScaledComplex:
-        return ONE
+    def wt(self, k, s=0):
+        return self.one
 
 
 def _quad_rel_terms(x, y, r, ctx: FullEllipticCtx):

@@ -27,9 +27,13 @@ theta_den, for a denominator, first rejects a draw whose smallest theta
 factor lies within POLE_TOL of zero.  Running shifted factorials are built
 from these two by stepping a _Slot.  The double-precision arithmetic is
 _scaled.ScaledArith, whose sum also rejects a draw that cancels beyond
-COND_LIMIT; the exact modes use qexact.ExactArith.  So an environment
-written outside the package, over mpmath say, runs every evaluator unchanged
-once the caller promotes the parameters to its number type.
+COND_LIMIT and whose lift(x) brings a parameter into the field; the theta
+environment ThetaEnv lives in `elliptic` (re-exported here), and the exact
+modes use qexact.ExactArith.  The double environments themselves, NumericQ
+and the contexts, reach numbers only through that arithmetic, so another
+field listed first as a mixin runs them, and every evaluator, unchanged
+once the caller promotes the parameters to its number type; the tests do
+so over mpmath at 40 digits and over GF(2^61 - 1).
 
 Degeneration edges record how each identity specializes into the next one
 down the chain (nome to zero, parameters to 0/1/q/infinity, index shifts),
@@ -48,13 +52,12 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Optional
 
-from ._scaled import ONE, ScaledArith, ScaledComplex, cpow, guard_factor, sc
+from ._scaled import ScaledArith, sc
 from .elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx,
-                       QCtx, QInvCtx)
+                       QCtx, QEnv, QInvCtx, ThetaEnv)
 from .errors import (DomainRejected, ModeUnsupported, UnknownEdge, UnknownIdentity,
                      ZeroArgument)
 from .qexact import ExactArith, ExactQ, RationalFn
-from .theta import theta_scaled
 
 MODE_NUMERIC = "numeric-elliptic"
 MODE_EXACT_Q = "exact-q"
@@ -65,39 +68,18 @@ MODE_EXACT_RATIONAL = "exact-rational"
 # double-precision environments (the exact ones live in qexact)
 # ---------------------------------------------------------------------------
 
-class NumericQ(ScaledArith):
-    """q-numbers and q-powers over ScaledComplex values (mirrors qexact.ExactQ)."""
+class NumericQ(QEnv):
+    """q-numbers and q-powers over the environment's field (mirrors qexact.ExactQ)."""
 
-    def __init__(self, q: complex):
-        self.q = complex(q)
-        self._den = self.den(ONE - self.q)
+    def __init__(self, q):
+        super().__init__(q)
+        self._den = self.den(self.one - self.lift(q))
 
-    def qn(self, z) -> ScaledComplex:
-        return (ONE - cpow(self.q, z)) / self._den
+    def qn(self, z):
+        return (self.one - self.qpow(z)) / self._den
 
-    def qn_den(self, z) -> ScaledComplex:
-        return self.den(ONE - cpow(self.q, z)) / self._den
-
-    def qpow(self, e) -> ScaledComplex:
-        return cpow(self.q, e)
-
-
-class ThetaEnv(ScaledArith):
-    """The theta environment of the theta-factorial identities.
-
-    theta and theta_den look theta_scaled up at call time, so a wrapper
-    installed on that module global sees every call.
-    """
-
-    def theta(self, x, p):
-        """theta(x; p)."""
-        return theta_scaled(x, p)[0]
-
-    def theta_den(self, x, p):
-        """theta(x; p) for a denominator: DomainRejected near one of its zeros."""
-        val, minfac = theta_scaled(x, p)
-        guard_factor(minfac)
-        return val
+    def qn_den(self, z):
+        return self.den(self.one - self.qpow(z)) / self._den
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +336,7 @@ def _basicg_rhs(ctx, prm, n):
 
 
 def _telc_lhs(ctx, prm, n):
-    return ctx.sum(ctx.wt(k) * (ctx.num(k + 1) * ctx.num(2, s=k) - 1)
+    return ctx.sum(ctx.wt(k) * (ctx.num(k + 1) * ctx.num(2, s=k) - ctx.one)
                    for k in range(n + 1))
 
 
@@ -916,9 +898,10 @@ class VerificationResult:
 def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, exact: bool = False):
     """Raw (lhs, rhs) values; poles surface as DomainRejected.
 
-    Each side gets its own environment.  A full-elliptic context memoises
-    theta; one shared by both sides would let a wrong memoised value enter
-    both alike, where it could cancel in the comparison.
+    Each side gets its own environment.  A theta environment (a full-elliptic
+    context is one) memoises theta; one shared by both sides would let a
+    wrong memoised value enter both alike, where it could cancel in the
+    comparison.
     """
     if n < desc.min_n:
         raise DomainRejected(f"{desc.id} needs n >= {desc.min_n}")

@@ -136,7 +136,7 @@ def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
             return ctx.num(k) * ctx.num(k, s=1)
 
         def t(k):
-            return ctx.wt(k - 1, s=1) * (ctx.num(k + 1) * ctx.num(2, s=k) - 1)
+            return ctx.wt(k - 1, s=1) * (ctx.num(k + 1) * ctx.num(2, s=k) - ctx.one)
 
         return TelescopePair(u, v, "tel-c", t)
 

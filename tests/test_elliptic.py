@@ -4,7 +4,7 @@ import pytest
 
 from ellid._scaled import ScaledComplex, cpow, sc
 from ellid.elliptic import (ABQCtx, AQCtx, BQCtx, FullEllipticCtx, QCtx,
-                            _quad_rel_terms, quad_rel_residual)
+                            ThetaEnv, _quad_rel_terms, quad_rel_residual)
 from ellid.errors import DomainRejected
 from ellid.theta import theta_scaled
 
@@ -30,11 +30,23 @@ def test_theta_memo_keeps_signed_zeros_apart():
     # complex(-3, 0.0) == complex(-3, -0.0), but theta_scaled puts them on
     # either side of the logarithm's branch cut; the memo must not mix them
     ctx = FullEllipticCtx(1, 1, 2, 0.3)
-    pos, _ = ctx._theta_of(sc(complex(-3, 0.0)))
-    val, mf = ctx._theta_of(sc(complex(-3, -0.0)))
-    ref, ref_mf = theta_scaled(complex(-3, -0.0), 0.3)
-    assert (val.e, repr(val.m), mf) == (ref.e, repr(ref.m), ref_mf)
+    pos = ctx.theta(sc(complex(-3, 0.0)), 0.3)
+    val = ctx.theta(sc(complex(-3, -0.0)), 0.3)
+    ref, _ = theta_scaled(complex(-3, -0.0), 0.3)
+    assert (val.e, repr(val.m)) == (ref.e, repr(ref.m))
     assert repr(val.m) != repr(pos.m)
+
+
+def test_theta_memo_keys_the_nome():
+    # one theta-family environment is asked at p, p^2 and 0: each nome gets
+    # its own value, whichever was asked first
+    p = 0.3 + 0.2j
+    x = sc(0.7 - 0.4j)
+    env = ThetaEnv()
+    got = [env.theta(x, nome) for nome in (p, p * p, 0, p)]
+    want = [theta_scaled(x, nome)[0] for nome in (p, p * p, 0, p)]
+    assert [(v.e, repr(v.m)) for v in got] == [(v.e, repr(v.m)) for v in want]
+    assert len({repr(v.m) for v in got}) == 3
 
 
 def test_number_examples():

@@ -1,10 +1,11 @@
-"""The catalog's evaluators over environments written outside the package.
+"""The catalog's evaluators over the package's environments in another field.
 
-An mpmath full-elliptic context and an mpmath theta environment, both
-defined here, provide one, zero, sum, pow and den plus num/wt or
-theta/theta_den.
-The unchanged catalog lhs/rhs of tel-c, ft-indef and bigid then run at 40
-digits on a sampled draw promoted to mpc, with no ellid global patched.
+MpField, defined here, is the environment arithmetic over mpmath numbers:
+one, zero, lift, sum, pow, den, theta and theta_den.  Listed first in a
+class with a package environment, it replaces that environment's double
+arithmetic while the environment's own formulas (num/wt, qn/qn_den) stay
+the package's.  The unchanged catalog lhs/rhs then run at 40 digits on a
+sampled draw promoted to mpc, with no ellid global patched.
 """
 
 
@@ -13,20 +14,22 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from ellid._scaled import POLE_TOL
+from ellid.elliptic import ABQCtx, AQCtx, BQCtx, FullEllipticCtx
 from ellid.errors import DomainRejected
 from ellid.harness import SampleConfig, sample_params
-from ellid.identities import get_identity
+from ellid.identities import NumericQ, catalog, get_identity
 from ellid.telescope import builder
 
 DPS = 40
 N = 3
 
 
-class MpArith:
+class MpField:
     """The environment arithmetic over mpmath numbers, with no cancellation guard."""
 
     one = mpf(1)
     zero = mpf(0)
+    lift = staticmethod(mpmath.mpmathify)
 
     def sum(self, terms):
         return sum(terms, self.zero)
@@ -39,59 +42,49 @@ class MpArith:
             raise DomainRejected("denominator within pole tolerance of zero")
         return x
 
-
-def mp_theta(x, p):
-    """theta(x; p) = (x; p)_inf (p/x; p)_inf."""
-    return mpmath.qp(x, p) * mpmath.qp(p / x, p)
-
-
-class MpEllipticCtx(MpArith):
-    """Elliptic numbers and weights as mpmath theta quotients, theta memoised."""
-
-    def __init__(self, a, b, q, p):
-        self.a, self.b, self.q, self.p = a, b, q, p
-        self._memo = {}
-
-    def _quot(self, nums, dens):
-        def th(x):
-            if x not in self._memo:
-                self._memo[x] = mp_theta(x, self.p)
-            return self._memo[x]
-        return mpmath.fprod(map(th, nums)) / mpmath.fprod(map(th, dens))
-
-    def _shifted_ab(self, s):
-        qs = self.pow(self.q, s)
-        return self.a * qs * qs, self.b * qs
-
-    def num(self, z, s=0):
-        a_, b_ = self._shifted_ab(s)
-        q, qz = self.q, self.pow(self.q, z)
-        return self._quot([qz, a_ * qz, b_ * q * q, a_ / b_],
-                          [q, a_ * q, b_ * qz * q, a_ * qz / (b_ * q)])
-
-    def wt(self, k, s=0):
-        a_, b_ = self._shifted_ab(s)
-        q, qk = self.q, self.pow(self.q, k)
-        return self._quot(
-            [a_ * qk * qk * q, b_ * q, b_ * q * q, a_ / (b_ * q), a_ / b_],
-            [a_ * q, b_ * qk * q, b_ * qk * q * q, a_ * qk / (b_ * q), a_ * qk / b_]) * qk
-
-
-class MpThetaEnv(MpArith):
-    """theta at mpmath precision; a denominator theta is guarded by den."""
-
     def theta(self, x, p):
-        return mp_theta(x, p)
+        """theta(x; p) = (x; p)_inf (p/x; p)_inf."""
+        return mpmath.qp(x, p) * mpmath.qp(p / x, p)
 
     def theta_den(self, x, p):
-        return self.den(mp_theta(x, p))
+        return self.den(self.theta(x, p))
 
 
-def _full_ctx(prm):
-    return MpEllipticCtx(prm["a"], prm["b"], prm["q"], prm["p"])
+class MpQ(MpField, NumericQ):
+    pass
 
 
-ENVS = {"tel-c": _full_ctx, "ft-indef": lambda prm: MpThetaEnv(), "bigid": _full_ctx}
+class MpEllipticCtx(MpField, FullEllipticCtx):
+    pass
+
+
+class MpABQCtx(MpField, ABQCtx):
+    pass
+
+
+class MpAQCtx(MpField, AQCtx):
+    pass
+
+
+class MpBQCtx(MpField, BQCtx):
+    pass
+
+
+#: the catalog's env builder -> the same environment over mpmath
+ENVS = {
+    "_q_env": lambda prm: MpQ(prm["q"]),
+    "_full_env": lambda prm: MpEllipticCtx(prm["a"], prm["b"], prm["q"], prm["p"]),
+    "_abq_env": lambda prm: MpABQCtx(prm["a"], prm["b"], prm["q"]),
+    "_aq_env": lambda prm: MpAQCtx(prm["a"], prm["q"]),
+    "_bq_env": lambda prm: MpBQCtx(prm["b"], prm["q"]),
+    "_theta_env": lambda prm: MpField(),
+}
+
+CHEAP = sorted(d.id for d in catalog()
+               if d.env.__name__ in ("_q_env", "_abq_env", "_aq_env", "_bq_env")
+               ) + ["indef-1", "cubic-odds"]
+# the full-elliptic and theta-family sides that take longest at 40 digits
+SLOW = ["tel-c", "ft-indef", "bigid"]
 
 
 def _mp_draw(ident, **fixed):
@@ -104,13 +97,14 @@ def _rel(x, y):
     return abs(x - y) / max(abs(x), abs(y))
 
 
-@pytest.mark.parametrize("ident", sorted(ENVS))
+@pytest.mark.parametrize("ident", CHEAP + SLOW)
 def test_catalog_sides_agree_at_40_digits(ident):
     desc = get_identity(ident)
+    env = ENVS[desc.env.__name__]
     with mp.workdps(DPS):
         prm = _mp_draw(ident)
-        lhs = desc.lhs(ENVS[ident](prm), prm, N)
-        rhs = desc.rhs(ENVS[ident](prm), prm, N)
+        lhs = desc.lhs(env(prm), prm, N)
+        rhs = desc.rhs(env(prm), prm, N)
         assert isinstance(lhs, mpc) and isinstance(rhs, mpc)
         assert _rel(lhs, rhs) < 1e-30
         # negative control: a 1e-20 relative RHS error is far above the floor
@@ -120,7 +114,7 @@ def test_catalog_sides_agree_at_40_digits(ident):
 def test_tel_a_builder_difference_at_40_digits():
     with mp.workdps(DPS):
         prm = _mp_draw("tel-a", m=2)
-        pair = builder("tel-a", _full_ctx(prm), {"m": 2})
+        pair = builder("tel-a", ENVS["_full_env"](prm), {"m": 2})
         for k in range(1, 4):
             diff = pair.u(k) - pair.v(k)
             assert isinstance(diff, mpc)
