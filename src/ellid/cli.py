@@ -13,12 +13,14 @@ Exit status: 0 if every check passed, 1 on any verification failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
 import time
 
-from .errors import EllidError, ResamplingExhausted, TruncationNotConverged
+from .errors import (DomainRejected, EllidError, ResamplingExhausted,
+                     TruncationNotConverged)
 from .harness import (DEFAULT_TOL, THETA_CONFIG, SampleConfig, SuiteReport,
                       result_record, run_suite, _check_tol, _sampled_check)
 from .identities import (INT_MIN, MODE_EXACT_Q, MODE_EXACT_RATIONAL,
@@ -38,11 +40,11 @@ def _default_seed() -> int:
 def _parse_param(text: str) -> tuple[str, complex]:
     try:
         name, val = text.split("=", 1)
-        parts = val.split(",")
-        re_ = float(parts[0])
-        im = float(parts[1]) if len(parts) > 1 else 0.0
-        return name.strip(), complex(re_, im)
-    except (ValueError, IndexError):
+        re_, *im = val.split(",")
+        if len(im) > 1:
+            raise ValueError(val)
+        return name.strip(), complex(float(re_), float(im[0]) if im else 0.0)
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected name=re[,im], got {text!r}")
 
@@ -52,14 +54,17 @@ def _pinned_params(desc, fixed: dict, mode: str) -> dict:
 
     Exact mode pins every parameter but q, as integers; in numeric mode the
     integer-kind parameters (m) must be integers too, at least the least
-    value of their kind.  A pinned nome p needs |p| < 1 and a pinned base q
-    must be nonzero.
+    value of their kind.  Every pinned value must be finite, a pinned nome p
+    needs |p| < 1 and a pinned base q must be nonzero.
     """
     kinds = dict(desc.param_signature)
     unknown = [name for name in fixed if name not in kinds]
     if unknown:
         raise ValueError(f"{desc.id} has no parameter {', '.join(unknown)} "
                          f"(its parameters: {' '.join(kinds) or 'none'})")
+    infinite = [f"{name}={v}" for name, v in fixed.items() if not cmath.isfinite(v)]
+    if infinite:
+        raise ValueError(f"pinned values must be finite, got {' '.join(infinite)}")
     if "p" in fixed and not abs(fixed["p"]) < 1:
         raise ValueError(f"the nome needs |p| < 1, got p={fixed['p']}")
     if fixed.get("q") == 0:
@@ -131,6 +136,7 @@ def _cmd_verify(args) -> int:
     mode = _exact_mode(desc) if args.mode == "exact" else "auto"
     fixed = _pinned_params(desc, dict(args.param), mode)
 
+    pinned = " ".join(f"{name}={v}" for name, v in fixed.items())
     t0 = time.monotonic()
     records = []
     try:
@@ -151,8 +157,12 @@ def _cmd_verify(args) -> int:
         # a pinned value on a pole rejects every draw
         if not fixed:
             raise
-        pinned = " ".join(f"{name}={v}" for name, v in fixed.items())
         raise ValueError(f"pinned {pinned} rejects every draw: {exc}") from exc
+    except DomainRejected as exc:
+        # exact mode evaluates its pinned integers once; a pole rejects them
+        if not fixed or args.n < desc.min_n:
+            raise
+        raise ValueError(f"pinned {pinned} is a pole of {desc.id}: {exc}") from exc
 
     report = SuiteReport(config={"sample": cfg.to_dict(), "tol": args.tol,
                                  "n": args.n, "id": desc.id, "mode": args.mode,

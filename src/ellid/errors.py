@@ -21,10 +21,6 @@ class OutOfRange(EllidError):
     """Index outside the valid range (e.g. binomial with k < 0 or k > n)."""
 
 
-class DegenerateDenominator(EllidError):
-    """A telescoping denominator (u, v or t_0) vanishes on the summation range."""
-
-
 class UnknownTheorem(EllidError):
     """No telescoping builder registered under this name."""
 
@@ -40,8 +36,9 @@ class UnknownEdge(EllidError):
 class DomainRejected(EllidError):
     """Parameter draw hits a pole / degenerate denominator of the identity.
 
-    The one rejection signal (den, guard_factor, ExactQ.qn_den); the harness
-    redraws on it.  Carries a short description of the offending quantity.
+    The one rejection signal (den, guard_factor, ExactQ.qn_den, the
+    telescoping lemma); the harness redraws on it.  Carries a short
+    description of the offending quantity.
     """
 
 
@@ -50,4 +47,4 @@ class ModeUnsupported(EllidError):
 
 
 class ResamplingExhausted(EllidError):
-    """No admissible parameter draw found within max_resamples attempts."""
+    """No admissible parameter draw found within harness.MAX_RESAMPLES attempts."""

@@ -1,11 +1,13 @@
 """Randomized verification harness: sampling, suite execution, reporting.
 
 Parameter draws are derived counter-style from a SHA-256 stream keyed by
-(seed, identity, n, trial), so a draw depends only on its coordinates, never
+(seed, identity, n, trial), or (seed, identity, n, "exact") for the small
+integers of an exact check, so a draw depends only on its coordinates, never
 on execution order.  A draw whose evaluation raises DomainRejected (near a
 pole, or cancelling) is redrawn from the same stream.  The pole test is the
-check itself: the first evaluation that does not reject its draw is the
-reported result, so each accepted draw is evaluated exactly once.
+check itself, numeric or exact, and there is no other: the first evaluation
+that does not reject its draw is the reported result, so each accepted draw
+is evaluated exactly once.
 
 Reports serialize to a stable JSON schema:
 
@@ -51,6 +53,8 @@ Q_ANNULUS = (0.3, 0.9)
 P_RADIUS = 0.5
 BOX = (-1.0, 1.0)
 BOX_EXCLUSION = 0.05
+#: draws a check may reject before it is reported as exhausted
+MAX_RESAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -59,19 +63,16 @@ class SampleConfig:
 
     seed: int = 0
     trials: int = 100
-    max_resamples: int = 1000
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.max_resamples < 1:
-            raise ValueError("max_resamples must be positive")
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "trials": self.trials,
                 "p_radius": P_RADIUS, "q_annulus": list(Q_ANNULUS),
                 "box": list(BOX), "box_exclusion": BOX_EXCLUSION,
-                "pole_tol": POLE_TOL, "max_resamples": self.max_resamples}
+                "pole_tol": POLE_TOL, "max_resamples": MAX_RESAMPLES}
 
 
 class _CounterRng:
@@ -139,22 +140,27 @@ def _draw_params(rng: _CounterRng, signature, fixed: dict | None = None) -> dict
     return prm
 
 
-def _first_admissible(rng: _CounterRng, signature, cfg: SampleConfig,
-                      fixed: dict | None, check, what: str) -> VerificationResult:
-    """Draw until check(params) does not reject the draw; return its result.
+def _draw_exact(rng: _CounterRng, signature) -> dict:
+    """Exact-check integers: c and d in 1..3, the rest but q in 0..3."""
+    return {name: rng.randint(1, 3) if name in ("c", "d") else rng.randint(0, 3)
+            for name, _ in signature if name != "q"}
 
-    check is the reported evaluation itself, so an accepted draw is evaluated
-    once.  Rejected draws advance the same stream, so acceptance history
-    cannot shift later trials.
+
+def _first_admissible(draw, check, what: str) -> VerificationResult:
+    """Draw until check(draw()) does not reject the draw; return its result.
+
+    check is the reported evaluation itself, and the one admissibility test:
+    a draw is rejected only when that evaluation raises DomainRejected, so an
+    accepted draw is evaluated once.  draw() advances the check's own stream,
+    so acceptance history cannot shift later trials.
     """
-    for _ in range(cfg.max_resamples):
-        prm = _draw_params(rng, signature, fixed)
+    for _ in range(MAX_RESAMPLES):
         try:
-            return check(prm)
+            return check(draw())
         except DomainRejected:
             continue
     raise ResamplingExhausted(
-        f"no admissible draw for {what} within {cfg.max_resamples} resamples")
+        f"no admissible draw for {what} within {MAX_RESAMPLES} resamples")
 
 
 def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int, tol: float,
@@ -165,7 +171,7 @@ def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int, tol: floa
         raise ValueError(f"{desc.id} needs n >= {desc.min_n}, got {n}")
     rng = _CounterRng(cfg.seed, desc.id, n, trial_index)
     return _first_admissible(
-        rng, desc.param_signature, cfg, fixed,
+        lambda: _draw_params(rng, desc.param_signature, fixed),
         lambda prm: evaluate(desc, prm, n, MODE_NUMERIC, tol, trial_index),
         f"{desc.id} (n={n}, trial={trial_index})")
 
@@ -187,13 +193,12 @@ def _sampled_edge_check(parent_id: str, child_id: str, cfg: SampleConfig,
                         trial_index: int, n: int) -> VerificationResult:
     """Degeneration-edge check at its first admissible draw."""
     edge = get_edge(parent_id, child_id)
-    child = get_identity(child_id)
-    lo = max(edge.min_n, child.min_n)
-    if n < lo:
-        raise ValueError(f"edge {parent_id}->{child_id} needs n >= {lo}, got {n}")
+    if n < edge.min_n:
+        raise ValueError(f"edge {parent_id}->{child_id} needs n >= {edge.min_n}, got {n}")
+    signature = get_identity(child_id).param_signature
     rng = _CounterRng(cfg.seed, f"{parent_id}->{child_id}", n, trial_index)
     return _first_admissible(
-        rng, child.param_signature, cfg, None,
+        lambda: _draw_params(rng, signature),
         lambda prm: reduce_chain_check(parent_id, child_id, prm, n,
                                        tol=EDGE_TOL, trial=trial_index),
         f"edge {parent_id}->{child_id} (n={n}, trial={trial_index})")
@@ -276,22 +281,6 @@ class SuiteReport:
         return SuiteReport(d["config"], d["results"], d["timings"])
 
 
-def _exact_sidecar_params(desc, cfg: SampleConfig, n: int) -> dict | None:
-    """Deterministic small-integer parameters for the per-n exact run."""
-    if not desc.param_signature or desc.param_signature == (("q", "complex"),):
-        return {}
-    rng = _CounterRng(cfg.seed, desc.id, n, "exact")
-    for _ in range(cfg.max_resamples):
-        prm = {}
-        for name, kind in desc.param_signature:
-            if name == "q":
-                continue
-            prm[name] = rng.randint(1, 3) if name in ("c", "d") else rng.randint(0, 3)
-        if desc.exact_domain is None or desc.exact_domain(prm):
-            return prm
-    return None
-
-
 def _check_tol(tol: float) -> None:
     """A numeric tolerance is a number in (0, 1); nan and inf are not."""
     if not 0.0 < tol < 1.0:
@@ -304,7 +293,7 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
 
     Each numeric record is the evaluation that accepted its draw, so every
     draw is evaluated once.  Identities with an exact mode additionally run
-    one exact check per n with deterministic small-integer parameters.
+    one exact check per n, at the first small-integer draw it accepts.
     Per-trial failures (including resampling exhaustion) are recorded in the
     report with the mode the check would have run in, never raised; a
     configuration that could only fail part-way (n_max < 0, tol outside
@@ -327,9 +316,7 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
                 tasks.append(("exact", desc.id, n, None))
     if include_edges:
         for edge in edges():
-            child = get_identity(edge.child)
-            lo = max(edge.min_n, child.min_n)
-            for n in range(lo, n_max + 1):
+            for n in range(edge.min_n, n_max + 1):
                 for trial in range(cfg.trials):
                     tasks.append(("edge", f"{edge.parent}->{edge.child}", n, trial))
 
@@ -342,10 +329,11 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
             elif kind == "exact":
                 desc = get_identity(ident)
                 mode = _exact_mode(desc)
-                prm = _exact_sidecar_params(desc, cfg, n)
-                if prm is None:
-                    raise ResamplingExhausted(f"no admissible exact parameters for {ident}")
-                res = evaluate(ident, prm, n, mode, tol)
+                rng = _CounterRng(cfg.seed, ident, n, "exact")
+                res = _first_admissible(
+                    lambda: _draw_exact(rng, desc.param_signature),
+                    lambda prm: evaluate(ident, prm, n, mode, tol),
+                    f"{ident} (n={n}, {mode})")
             else:
                 parent, child = ident.split("->")
                 res = _sampled_edge_check(parent, child, cfg, trial, n)

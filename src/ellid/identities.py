@@ -2,10 +2,10 @@
 
 Each identity is registered with independent LHS and RHS evaluators (the RHS
 is never derived from the LHS), a parameter signature and the verification
-modes it supports.  A draw near a pole is rejected by the evaluation itself:
-the environment's den and the theta environment's theta_den raise
-DomainRejected, and so do a plain division by an exact zero and a theta at a
-zero argument.  Identity families:
+modes it supports.  A draw near a pole, numeric or exact, is rejected only by
+the evaluation itself, at a factor it multiplies in: the environment's den and
+the theta environment's theta_den raise DomainRejected, and so do a plain
+division by an exact zero and a theta at a zero argument.  Identity families:
 
   * plain q-identities evaluated over a q-arithmetic provider, so one
     transcription serves both the numeric engine and the exact
@@ -40,7 +40,8 @@ down the chain (nome to zero, parameters to 0/1/q/infinity, index shifts),
 including the normalizing prefactor the specialization picks up; the checker
 evaluates the parent in its hand-derived limit form and the child directly,
 both at the child's parameters alone, and asserts both sides agree after
-normalization.
+normalization.  An edge's least n and exact support follow from its
+endpoints and its index shift when it is registered.
 """
 
 from __future__ import annotations
@@ -466,8 +467,8 @@ def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
     Each top is (x, mults): theta(x; p), with x multiplied by each of mults
     in turn after every term.  nums and dens are (x, base) pairs of running
     factorials (x; base, p)_k, denominators guarded against poles; a pair
-    listed twice enters squared.  Every slot also steps after the last term,
-    so a denominator pole one index past the sum rejects the draw.
+    listed twice enters squared.  The slots and tops advance before every
+    term but the first, so the sum tests only the factors it multiplies in.
     """
     slots = {}
     num = [slots.setdefault((x, b, False), _Slot(env, x, b, p)) for x, b in nums]
@@ -475,13 +476,14 @@ def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
 
     def terms():
         xs = [env.zero + x for x, _ in tops]
-        for k in ks:
+        for i, k in enumerate(ks):
+            if i:
+                for s in slots.values():
+                    s.step()
+                xs = [reduce(mul, mults, x) for x, (_, mults) in zip(xs, tops)]
             term = reduce(mul, [env.theta(x, p) for x in xs]) / den0
             term = reduce(mul, [s.val for s in num], term)
             yield term / reduce(mul, [s.val for s in den]) * weight(k)
-            for s in slots.values():
-                s.step()
-            xs = [reduce(mul, mults, x) for x, (_, mults) in zip(xs, tops)]
     return env.sum(terms())
 
 
@@ -578,13 +580,14 @@ def _cubicodds_lhs(env, prm, n):
         argq = env.zero + q        # q^{2k+1}
         arga = env.zero + a * q    # a q^{2k+1}
         for k in range(n):
+            if k:
+                num3.step(); den3.step()
+                argq = argq * q * q
+                arga = arga * q * q
             f = env.one - arga
             yield (env.pow(q, -k) * num3.val / den3.val
                    * (env.one - argq) / one_minus_q
                    * f * f / (one_minus_aq * one_minus_aq))
-            num3.step(); den3.step()
-            argq = argq * q * q
-            arga = arga * q * q
     return env.sum(terms())
 
 
@@ -713,7 +716,6 @@ class IdentityDescriptor:
     lhs: Callable
     rhs: Callable
     min_n: int = 0
-    exact_domain: Optional[Callable] = None   # admissibility of integer parameters
 
     def supports(self, mode: str) -> bool:
         return mode in self.modes
@@ -735,12 +737,6 @@ _SIG_ABQ = (("a", _CPX), ("b", _CPX), ("q", _CPX))
 _SIG_AQ = (("a", _CPX), ("q", _CPX))
 _SIG_BQ = (("b", _CPX), ("q", _CPX))
 _SIG_CDGH = (("c", _CPX), ("d", _CPX), ("g", _CPX), ("h", _CPX))
-
-
-def _cdgh_exact_domain(prm) -> bool:
-    """Integer c, d, g, h keep both denominators [2cd] and [ch + dg] nonzero."""
-    c, d, g, h = prm["c"], prm["d"], prm["g"], prm["h"]
-    return c * d != 0 and c * h + d * g != 0
 
 
 def _build_catalog() -> dict:
@@ -794,8 +790,7 @@ def _build_catalog() -> dict:
     add("spc-4ii", "q-analogue of the sum of the first n cubes", "Cigler (2014), Thm. 1 with q -> q^2",
         _q_env, _SIG_Q, _NUM_EXQ, _spc4ii_lhs, _spc4ii_rhs)
     add("spc-2", "four-parameter q-degeneration of the main identity", "main identity, q-case",
-        _q_env, _SIG_Q + _SIG_CDGH, _NUM_EXQ, _spc2_lhs, _spc2_rhs,
-        exact_domain=_cdgh_exact_domain)
+        _q_env, _SIG_Q + _SIG_CDGH, _NUM_EXQ, _spc2_lhs, _spc2_rhs)
 
     # --- elliptic-context identities ----------------------------------------
     add("basic-g", "geometric sum of elliptic weights", "weight recurrence iterated",
@@ -850,8 +845,7 @@ def _build_catalog() -> dict:
 
     # --- rational identities -------------------------------------------------
     add("bigid-hyper", "hypergeometric version of the main identity", "main theorem, classical limit",
-        _rational_env, _SIG_CDGH, _NUM_EXR, _hyper_lhs, _hyper_rhs,
-        exact_domain=_cdgh_exact_domain)
+        _rational_env, _SIG_CDGH, _NUM_EXR, _hyper_lhs, _hyper_rhs)
     add("sum-cubes", "sum of the first n cubes", "classical",
         _rational_env, (), _NUM_EXR, _sumcubes_lhs, _sumcubes_rhs)
 
@@ -954,11 +948,11 @@ def _exact_mode(desc: IdentityDescriptor) -> str:
 
 
 def _exact_sides(desc: IdentityDescriptor, params: dict, n: int, mode: str):
-    """Exact (lhs, rhs): over ExactQ in exact-q mode, else over Fractions."""
+    """Exact (lhs, rhs): over ExactQ in exact-q mode, else over Fractions.
+
+    A pole raises DomainRejected from ExactQ.qn_den or ExactArith.den."""
     if mode == MODE_EXACT_RATIONAL:
         params = {k: Fraction(v) for k, v in params.items()}
-    if desc.exact_domain is not None and not desc.exact_domain(params):
-        raise DomainRejected(f"{desc.id}: inadmissible exact parameters")
     return _eval_sides(desc, params, n, exact=True)
 
 
@@ -1018,22 +1012,23 @@ class DegenerationEdge:
     child: str
     note: str
     parent_sides: Callable
-    min_n: int = 0
-    exact_ok: bool = False
+    min_n: int       # the least n both endpoints are defined at
+    exact_ok: bool   # checkable in the endpoints' exact mode
 
 
-def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
+def _edge(shape_lhs, shape_rhs, env, scale=None, shift=0, prm_map=None):
     """Parent evaluator: the parent's shapes in a limit environment.
 
     env(prm, exact) builds what the shapes evaluate over (a limit context,
     a q-provider, or the theta environment), once per side, as in
     _eval_sides.  scale(P, prm, n) is the normalizing prefactor over the
-    q-provider P for prm["q"]; both sides are multiplied by it.
+    q-provider P for prm["q"]; both sides are multiplied by it.  The parent
+    is evaluated at n - shift.
     """
 
     def sides(prm, n, exact):
         e = env(prm, exact)
-        np_ = n if n_map is None else n_map(n)
+        np_ = n - shift
         pp = prm if prm_map is None else prm_map(prm)
         if scale is None:
             return shape_lhs(e, pp, np_), shape_rhs(env(prm, exact), pp, np_)
@@ -1046,13 +1041,17 @@ def _edge(shape_lhs, shape_rhs, env, scale=None, n_map=None, prm_map=None):
 def _build_edges() -> dict:
     E = []
 
-    def add(parent, child, note, env=None, scale=None, n_map=None, prm_map=None,
-            min_n=0, exact_ok=False, sides=None):
+    def add(parent, child, note, env=None, scale=None, shift=0, prm_map=None,
+            sides=None):
         """Register parent -> child.  Unless sides is given, the parent's own
-        evaluators run over env, by default the parent's own environment."""
+        evaluators run over env, by default the parent's own environment, at
+        n - shift; only that default can run in the endpoints' exact mode."""
+        pdesc, cdesc = _CATALOG[parent], _CATALOG[child]
+        min_n = max(cdesc.min_n, pdesc.min_n + shift)
+        exact_ok = (sides is None and env is None
+                    and all(d.modes - _NUM for d in (pdesc, cdesc)))
         if sides is None:
-            desc = _CATALOG[parent]
-            sides = _edge(desc.lhs, desc.rhs, env or desc.env, scale, n_map, prm_map)
+            sides = _edge(pdesc.lhs, pdesc.rhs, env or pdesc.env, scale, shift, prm_map)
         E.append(DegenerationEdge(parent, child, note, sides, min_n, exact_ok))
 
     full0 = lambda prm, exact: FullEllipticCtx(prm["a"], prm["b"], prm["q"], 0)
@@ -1088,10 +1087,10 @@ def _build_edges() -> dict:
         lambda P, prm, n: P.one / (P.qn_den(2) * P.qn_den(3) * P.qpow(1)))
 
     # even-number chain (rising products, m = 1 and m = 2 reindexed)
-    add("tel-a", "sum-even", "m = 1, index shifted by one", n_map=lambda n: n - 1,
-        prm_map=lambda prm: {**prm, "m": 1}, min_n=1)
-    add("tel-a", "m3rising", "m = 2, index shifted by one", n_map=lambda n: n - 1,
-        prm_map=lambda prm: {**prm, "m": 2}, min_n=1)
+    add("tel-a", "sum-even", "m = 1, index shifted by one", shift=1,
+        prm_map=lambda prm: {**prm, "m": 1})
+    add("tel-a", "m3rising", "m = 2, index shifted by one", shift=1,
+        prm_map=lambda prm: {**prm, "m": 2})
     add("sum-even", "even-abq", "p = 0: theta factors become 1 - x", full0)
     add("even-abq", "even-aq", "b -> 0 closed form", _aq_env)
     add("even-abq", "even-bq", "a -> 0 closed form", _bq_env)
@@ -1136,11 +1135,11 @@ def _build_edges() -> dict:
     add("bigid", "spc-1", "p -> 0 then b -> 0 closed form", _aq_env)
     add("spc-1", "spc-2", "a -> 0: products collapse into explicit q-powers", qinv)
     add("spc-2", "spc-4i", "c = d = g = 1, h = 0, index shift; scale q^(n-1)",
-        scale=lambda P, prm, n: P.qpow(n - 1), n_map=lambda n: n - 1,
-        prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 0}, min_n=1, exact_ok=True)
+        scale=lambda P, prm, n: P.qpow(n - 1), shift=1,
+        prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 0})
     add("spc-2", "spc-4ii", "c = d = g = h = 1, index shift; scale q^(n^2+n-2)",
-        scale=lambda P, prm, n: P.qpow(n * n + n - 2), n_map=lambda n: n - 1,
-        prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 1}, min_n=1, exact_ok=True)
+        scale=lambda P, prm, n: P.qpow(n * n + n - 2), shift=1,
+        prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 1})
 
     def _cubes_sides(prm, n, exact):
         # cleared polynomial form of the hypergeometric identity at
@@ -1156,15 +1155,14 @@ def _build_edges() -> dict:
     add("e-indef-1", "indef-1", "p = 0 makes every theta factor literal",
         prm_map=lambda prm: {"a": prm["a"], "b": prm["b"], "c": 1.0,
                              "q": prm["q"], "p": 0.0})
-    add("e-indef-1", "warnaar-cubes-elliptic", "a = b = q^2, index shift",
-        n_map=lambda n: n - 1,
+    add("e-indef-1", "warnaar-cubes-elliptic", "a = b = q^2, index shift", shift=1,
         prm_map=lambda prm: {"a": prm["q"] ** 2, "b": prm["q"] ** 2,
-                             "c": prm["c"], "q": prm["q"], "p": prm["p"]}, min_n=1)
+                             "c": prm["c"], "q": prm["q"], "p": prm["p"]})
     add("warnaar-cubes-elliptic", "warnaar-cubes", "p = 0",
-        prm_map=lambda prm: {"c": 1.0, "q": prm["q"], "p": 0.0}, min_n=1)
+        prm_map=lambda prm: {"c": 1.0, "q": prm["q"], "p": 0.0})
     add("indef-1", "qodds", "a = b = q, then n -> n - 1; scale q^(1-n)",
-        scale=lambda P, prm, n: P.qpow(1 - n), n_map=lambda n: n - 1,
-        prm_map=lambda prm: {"a": prm["q"], "b": prm["q"], "q": prm["q"]}, min_n=1)
+        scale=lambda P, prm, n: P.qpow(1 - n), shift=1,
+        prm_map=lambda prm: {"a": prm["q"], "b": prm["q"], "q": prm["q"]})
     add("cubic-odds", "qodds", "a = 0 empties the cubic-base factorials",
         prm_map=lambda prm: {"a": 0.0, "q": prm["q"]})
 
@@ -1198,8 +1196,8 @@ def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
     edge = get_edge(parent_id, child_id)
     child = get_identity(child_id)
     ident = f"{parent_id}->{child_id}"
-    if n < max(edge.min_n, child.min_n):
-        raise DomainRejected(f"edge {ident} needs n >= {max(edge.min_n, child.min_n)}")
+    if n < edge.min_n:
+        raise DomainRejected(f"edge {ident} needs n >= {edge.min_n}")
 
     exact = mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL)
     if exact and not edge.exact_ok:

@@ -32,8 +32,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from ._scaled import ONE, ScaledComplex
-from .errors import DegenerateDenominator, UnknownTheorem
+from .errors import DomainRejected, UnknownTheorem
 from .qexact import RationalFn
+
+VANISH_TOL = 1e-12  # a double vanishes at |x| <= VANISH_TOL * max |u_k|, |v_k|
 
 
 @dataclass
@@ -56,20 +58,21 @@ def _mag(x) -> float:
     return abs(complex(x))
 
 
-def _zero(x, scale: float, exact: bool, tol: float) -> bool:
+def _zero(x, scale: float, exact: bool) -> bool:
     if exact:
         if isinstance(x, RationalFn):
             return x.is_zero()
         return x == 0
-    return _mag(x) <= tol * scale
+    return _mag(x) <= VANISH_TOL * scale
 
 
-def telescope_both_sides(pair: TelescopePair, n: int, zero_tol: float = 1e-12):
+def telescope_both_sides(pair: TelescopePair, n: int):
     """Evaluate both sides of the telescoping identity for 0 <= k <= n.
 
     Returns (lhs, rhs) in the value type produced by the pair.  Raises
-    DegenerateDenominator if t_0, any of v_1..v_n, or any of u_0..u_{n-1}
-    vanishes (exactly in exact mode, below zero_tol * scale numerically).
+    DomainRejected if t_0, any of v_1..v_n, or any of u_0..u_{n-1} vanishes
+    (exactly in exact mode, below VANISH_TOL times the largest |u_k|, |v_k|
+    numerically).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -84,14 +87,14 @@ def telescope_both_sides(pair: TelescopePair, n: int, zero_tol: float = 1e-12):
         scale = max((_mag(x) for x in us + vs), default=1.0)
         if scale == 0 or math.isinf(scale):
             scale = 1.0
-    if _zero(t0, scale, exact, zero_tol):
-        raise DegenerateDenominator(f"{pair.label}: t_0 = u_0 - v_0 vanishes")
+    if _zero(t0, scale, exact):
+        raise DomainRejected(f"{pair.label}: t_0 = u_0 - v_0 vanishes")
     for k in range(1, n + 1):
-        if _zero(vs[k], scale, exact, zero_tol):
-            raise DegenerateDenominator(f"{pair.label}: v_{k} vanishes")
+        if _zero(vs[k], scale, exact):
+            raise DomainRejected(f"{pair.label}: v_{k} vanishes")
     for k in range(0, n):
-        if _zero(us[k], scale, exact, zero_tol):
-            raise DegenerateDenominator(f"{pair.label}: u_{k} vanishes")
+        if _zero(us[k], scale, exact):
+            raise DomainRejected(f"{pair.label}: u_{k} vanishes")
 
     # lhs: running product of u_0..u_{k-1} / v_1..v_k, term (t_k/t_0) * ratio
     lhs = (us[0] - vs[0]) / t0  # k = 0 term, equals 1

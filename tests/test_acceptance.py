@@ -9,8 +9,7 @@ import time
 from ellid.elliptic import FullEllipticCtx, _quad_rel_terms
 from ellid._scaled import ScaledComplex, cpow, sc
 from ellid.harness import SampleConfig, run_suite, sample_edge_params
-from ellid.identities import (catalog, edges, eval_exact, get_identity,
-                              reduce_chain_check)
+from ellid.identities import catalog, edges, eval_exact, reduce_chain_check
 from ellid.telescope import builder, telescope_both_sides
 from ellid.theta import theta, theta_prod
 from conftest import Draws
@@ -74,8 +73,7 @@ def test_criterion_3_degeneration_chain():
     checks = 0
     for e in edges():
         seen.add((e.parent, e.child))
-        child = get_identity(e.child)
-        lo = max(e.min_n, child.min_n, 1)
+        lo = max(e.min_n, 1)
         for trial in range(50):
             n = lo + trial % 6
             prm = sample_edge_params(e.parent, e.child, cfg, trial, n)

@@ -48,6 +48,8 @@ def test_bad_flags_exit_2(capsys):
     assert main(["verify", "--id", "geo"]) == 2          # missing --n
     assert main(["verify", "--id", "geo", "--n", "1",
                  "--param", "oops"]) == 2                 # malformed param
+    assert main(["verify", "--id", "qodds", "--n", "3", "--trials", "2",
+                 "--param", "q=0.4,0.2,9"]) == 2          # a third component
     assert main(["sweep", "--suite", "all"]) == 2          # no such flag
     assert main(["verify", "--id", "geo", "--n", "1",
                  "--theta-terms", "64"]) == 2             # no such flag
@@ -146,6 +148,16 @@ def test_sweep_small(tmp_path, capsys):
      "pinned a=0j rejects every draw: no admissible draw for m00 (n=3, trial=0)"),
     (["--id", "e-indef-1", "--n", "3", "--param", "c=0"],
      "pinned c=0j rejects every draw: no admissible draw for e-indef-1"),
+    (["--id", "qodds", "--n", "3", "--param", "q=nan"],
+     "pinned values must be finite, got q=(nan+0j)"),
+    (["--id", "qodds", "--n", "3", "--param", "q=inf"],
+     "pinned values must be finite, got q=(inf+0j)"),
+    (["--id", "tel-c", "--n", "3", "--param", "a=nan"],
+     "pinned values must be finite, got a=(nan+0j)"),
+    # exact mode: c h + d g = 0 is a pole, found by the exact evaluation
+    (["--id", "spc-2", "--n", "3", "--mode", "exact", "--param", "c=1",
+      "--param", "d=1", "--param", "g=0", "--param", "h=0"],
+     "pinned c=1 d=1 g=0 h=0 is a pole of spc-2: [0]_q denominator"),
 ])
 def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
     assert main(["verify", *argv]) == 2

@@ -5,8 +5,9 @@ import pytest
 import ellid.harness
 from ellid.errors import DomainRejected, ResamplingExhausted
 from ellid.harness import (DEFAULT_TOL, EDGE_TOL, P_RADIUS, SampleConfig,
-                           SuiteReport, result_record, run_suite,
-                           sample_edge_params, sample_params)
+                           SuiteReport, _CounterRng, _draw_exact,
+                           result_record, run_suite, sample_edge_params,
+                           sample_params)
 from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, edges, evaluate,
                               get_identity, reduce_chain_check)
 from ellid.theta import truncation_terms
@@ -62,15 +63,14 @@ def test_edge_draws_only_the_childs_parameters():
     # the parent is evaluated in the child's limit, at the child's parameters
     cfg = SampleConfig(seed=42, trials=1)
     for e in edges():
-        child = get_identity(e.child)
-        n = max(e.min_n, child.min_n)
-        prm = sample_edge_params(e.parent, e.child, cfg, 0, n)
-        names = [name for name, _ in child.param_signature]
+        prm = sample_edge_params(e.parent, e.child, cfg, 0, e.min_n)
+        names = [name for name, _ in get_identity(e.child).param_signature]
         assert list(prm) == names, (e.parent, e.child)
 
 
-def test_resampling_exhausted():
-    cfg = SampleConfig(seed=3, trials=1, max_resamples=5)
+def test_resampling_exhausted(monkeypatch):
+    monkeypatch.setattr(ellid.harness, "MAX_RESAMPLES", 5)
+    cfg = SampleConfig(seed=3, trials=1)
     # a = b makes the weight denominator vanish at k = 1 for every draw
     with pytest.raises(ResamplingExhausted):
         sample_params("tel-c", cfg, 0, 3,
@@ -132,9 +132,6 @@ def test_suite_with_edges():
 def test_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(seed=0, trials=0)
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_resamples"):
-            SampleConfig(seed=0, trials=1, max_resamples=bad)
 
 
 def test_run_suite_rejects_bad_config_before_any_draw(monkeypatch):
@@ -230,18 +227,39 @@ def test_each_draw_evaluated_once(monkeypatch):
 
 
 def test_error_records_carry_the_check_mode(monkeypatch):
-    # every draw is rejected and no exact parameters are admissible, so every
-    # sampled and sidecar check is exhausted
+    # every draw is rejected, so every sampled and sidecar check is exhausted
     def reject(*args, **kw):
         raise DomainRejected("forced")
 
     monkeypatch.setattr(ellid.harness, "evaluate", reject)
     monkeypatch.setattr(ellid.harness, "reduce_chain_check", reject)
-    monkeypatch.setattr(ellid.harness, "_exact_sidecar_params",
-                        lambda *args: None)
-    cfg = SampleConfig(seed=1, trials=1, max_resamples=2)
+    monkeypatch.setattr(ellid.harness, "MAX_RESAMPLES", 2)
+    cfg = SampleConfig(seed=1, trials=1)
     rep = run_suite(["spc-2"], 2, cfg, include_edges=True)
     assert rep.results and all("error" in r for r in rep.results)
     modes = {("->" in r["id"], r["trial"] is None, r["mode"]) for r in rep.results}
     assert modes == {(False, False, MODE_NUMERIC), (False, True, MODE_EXACT_Q),
                      (True, False, MODE_NUMERIC)}
+
+
+def test_exact_sidecar_is_redrawn_by_its_own_evaluation(monkeypatch):
+    # the sidecar's first exact evaluation rejects its draw as a pole would;
+    # the record is the next draw of the same stream, and it passes
+    exact_draws = []
+    evaluate_ = ellid.harness.evaluate
+
+    def reject_first_exact(ident, prm, n, mode, *args):
+        if mode != MODE_NUMERIC:
+            exact_draws.append(prm)
+            if len(exact_draws) == 1:
+                raise DomainRejected("forced")
+        return evaluate_(ident, prm, n, mode, *args)
+
+    monkeypatch.setattr(ellid.harness, "evaluate", reject_first_exact)
+    rep = run_suite(["spc-2"], 0, SampleConfig(seed=1, trials=1))
+    rng = _CounterRng(1, "spc-2", 0, "exact")
+    signature = get_identity("spc-2").param_signature
+    assert exact_draws == [_draw_exact(rng, signature) for _ in range(2)]
+    [rec] = [r for r in rep.results if r["mode"] == MODE_EXACT_Q]
+    assert rec["pass"] and "error" not in rec
+    assert rec["params"] == {k: [float(v), 0.0] for k, v in exact_draws[1].items()}

@@ -10,9 +10,9 @@ from ellid.elliptic import BQCtx, FullEllipticCtx
 from ellid.errors import (DomainRejected, ModeUnsupported, UnknownEdge,
                           UnknownIdentity)
 from ellid.harness import result_record
-from ellid.identities import (MODE_EXACT_Q, MODE_NUMERIC, ThetaEnv, catalog,
-                              edges, eval_exact, evaluate, get_edge,
-                              get_identity, reduce_chain_check)
+from ellid.identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
+                              ThetaEnv, catalog, edges, eval_exact, evaluate,
+                              get_edge, get_identity, reduce_chain_check)
 from ellid.qexact import ExactArith, ExactQ, LaurentPoly, RationalFn, q_number
 from ellid.theta import factorial_scaled, theta_scaled
 
@@ -172,8 +172,7 @@ def test_all_edges_verify(draws):
     from ellid.harness import SampleConfig, sample_edge_params
     cfg = SampleConfig(seed=77, trials=1)
     for e in edges():
-        child = get_identity(e.child)
-        n = max(e.min_n, child.min_n, 1) + 2
+        n = max(e.min_n, 1) + 2
         prm = sample_edge_params(e.parent, e.child, cfg, 0, n)
         res = reduce_chain_check(e.parent, e.child, prm, n)
         assert res.passed, (e.parent, e.child, res.rel_err)
@@ -202,7 +201,7 @@ def test_edge_scale_mutants_fail(monkeypatch):
     cfg = SampleConfig(seed=42, trials=1)
     exact_checked = 0
     for e in edges():
-        n = max(e.min_n, get_identity(e.child).min_n) + 2
+        n = e.min_n + 2
         checks = [lambda: _sampled_edge_check(e.parent, e.child, cfg, 0, n)]
         if e.exact_ok:
             checks.append(lambda: reduce_chain_check(e.parent, e.child, {}, n,
@@ -213,6 +212,18 @@ def test_edge_scale_mutants_fail(monkeypatch):
                             dataclasses.replace(e, parent_sides=_times_q(e.parent_sides)))
         assert not any(check().passed for check in checks), (e.parent, e.child)
     assert len(edges()) == 42 and exact_checked == 2
+
+
+def test_edge_least_n_and_exact_support_are_derived():
+    # min_n = max(child's, parent's + index shift); exact only where both
+    # endpoints have an exact mode and the parent runs over its own evaluators
+    assert {(e.parent, e.child) for e in edges() if e.min_n == 1} == {
+        ("tel-a", "sum-even"), ("tel-a", "m3rising"), ("spc-2", "spc-4i"),
+        ("spc-2", "spc-4ii"), ("e-indef-1", "warnaar-cubes-elliptic"),
+        ("warnaar-cubes-elliptic", "warnaar-cubes"), ("indef-1", "qodds")}
+    assert all(e.min_n in (0, 1) for e in edges())
+    assert {(e.parent, e.child) for e in edges() if e.exact_ok} == {
+        ("spc-2", "spc-4i"), ("spc-2", "spc-4ii")}
 
 
 def test_domain_rejects_poles():
@@ -277,8 +288,30 @@ def test_edge_fails_on_parent_rhs_alone(monkeypatch):
 
 
 def test_exact_domain_rejects_degenerate_integers():
-    with pytest.raises(DomainRejected):
+    # the exact evaluation is the test: [2cd]_q and c h + d g = 0 are poles
+    with pytest.raises(DomainRejected, match=r"\[0\]_q denominator"):
         evaluate("spc-2", {"c": 0, "d": 1, "g": 1, "h": 1}, 2, MODE_EXACT_Q)
+    with pytest.raises(DomainRejected, match="vanishing denominator"):
+        evaluate("bigid-hyper", {"c": 1, "d": 2, "g": 0, "h": 0}, 2,
+                 MODE_EXACT_RATIONAL)
+
+
+def test_indefinite_sums_test_only_the_factors_they_read(monkeypatch):
+    # (a q / b; q)_2 vanishes at _INDEF1_POLE, but the n = 1 sum and its RHS
+    # read (a q / b; q)_k for k <= 1 only
+    assert evaluate("indef-1", _INDEF1_POLE, 1).passed
+    calls = []
+
+    def counted(x, p):
+        calls.append(x)
+        return theta_scaled(x, p)
+
+    # n = 3: 8 running factorials step 3 times each (24 thetas), plus 4 top
+    # thetas and den0, less 3 memo hits (theta(a) twice, theta(a q^2) once)
+    monkeypatch.setattr(ellid.elliptic, "theta_scaled", counted)
+    prm = {"a": 0.3 + 0.2j, "b": 0.7, "c": 0.6 - 0.1j, "q": 0.5 + 0.1j, "p": 0.2}
+    get_identity("ft-indef").lhs(ThetaEnv(), prm, 3)
+    assert len(calls) == 26
 
 
 def test_sum_guards_cancellation_only_in_double():

@@ -1,7 +1,7 @@
 import pytest
 
 from ellid.elliptic import QCtx
-from ellid.errors import DegenerateDenominator, UnknownTheorem
+from ellid.errors import DomainRejected, UnknownTheorem
 from ellid.identities import NumericQ, _sumeven_lhs
 from ellid.qexact import RationalFn, q_number
 from ellid.telescope import TelescopePair, builder, telescope_both_sides
@@ -31,10 +31,10 @@ def test_engine_exact_mode():
 
 def test_engine_degenerate():
     pair = TelescopePair(lambda k: complex(k), lambda k: complex(k), "t0=0")
-    with pytest.raises(DegenerateDenominator):
+    with pytest.raises(DomainRejected):
         telescope_both_sides(pair, 3)
     pair = TelescopePair(lambda k: complex(k), lambda k: complex(k - 1), "u0=0")
-    with pytest.raises(DegenerateDenominator):
+    with pytest.raises(DomainRejected):
         telescope_both_sides(pair, 3)
 
 
