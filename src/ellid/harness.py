@@ -184,7 +184,8 @@ def sample_params(ident, cfg: SampleConfig, trial_index: int, n: int = 4,
     predicate is realized by attempting both evaluators: a draw is admissible
     exactly when no sub-evaluation hits the pole tolerance.  The suite runner
     and `ellid verify` report the evaluation that accepted the draw instead
-    of evaluating these parameters again.
+    of evaluating these parameters again.  A non-finite fixed value raises
+    ValueError naming it.
     """
     return _sampled_check(ident, cfg, trial_index, n, DEFAULT_TOL, fixed).params
 

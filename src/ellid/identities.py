@@ -46,6 +46,7 @@ endpoints and its index shift when it is registered.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -963,9 +964,14 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
     Numeric mode ("auto") passes when rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1)
     is at most tol; exact modes require exact equality.  An exact-q result's
     lhs and rhs are the cross products lhs.num * rhs.den and rhs.num * lhs.den
-    (eval_exact returns the RationalFn sides themselves).
+    (eval_exact returns the RationalFn sides themselves).  A non-finite
+    parameter raises ValueError naming it.
     """
     desc = get_identity(ident)
+    infinite = [f"{name}={v}" for name, v in params.items()
+                if isinstance(v, (float, complex)) and not cmath.isfinite(v)]
+    if infinite:
+        raise ValueError(f"parameters must be finite, got {' '.join(infinite)}")
     if mode == "auto":
         mode = MODE_NUMERIC
     if not desc.supports(mode):

@@ -25,10 +25,20 @@ with the exact quasi-periodicity relation
 so the truncation rule always applies to a well-conditioned argument; this is
 what keeps the astronomically large or small arguments produced by the
 identity evaluators exact-to-tolerance without extending the product.
+
+What depends on the nome alone is computed once per nome: |p|, log2|p|,
+the powers sc(p).ipow(k) of the reduction and the list 1, p, p^2, ... that
+the product multiplies in.  A private cache keeps these for the last
+NOME_SLOTS nomes, keyed by the exact bits of p (signed zeros included,
+since the logarithm inside ipow puts complex(-0.3, 0.0) and
+complex(-0.3, -0.0) on either side of its branch cut); it is empty until
+the first call, and every cached value is bit for bit what a fresh
+computation gives.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from ._scaled import ONE, ScaledComplex, guard_factor, sc
@@ -40,6 +50,12 @@ TAIL_TOL = 1e-14
 #: needs at most 50 and a pinned |p| = 0.9 at most 341, while |p| = 0.95
 #: needs 714 and raises
 MAX_TERMS = 512
+#: most nomes whose powers the cache keeps: a theta-family side asks at p
+#: and p^2, and a sampled sweep brings a new nome with every draw
+NOME_SLOTS = 8
+
+# the nome cache: (p, sign of p.real, sign of p.imag) -> _Nome, emptied when full
+_nomes: dict = {}
 
 
 def truncation_terms(aa: float, pa: float) -> int:
@@ -53,58 +69,102 @@ def truncation_terms(aa: float, pa: float) -> int:
     return max(1, math.ceil(math.log(bound / TAIL_TOL) / -math.log(pa)))
 
 
-def theta_scaled(a, p: complex) -> tuple[ScaledComplex, float]:
-    """theta(a; p) in scaled form, plus the smallest |factor| encountered.
+class _Nome:
+    """What theta_scaled needs of a nonzero nome p alone.
 
-    Accepts a as complex or ScaledComplex of any magnitude.  The minimum
-    factor magnitude lets callers detect proximity to a theta zero; it is
-    reported as +inf for the p = 0 shortcut path when |1 - a| overflows.
-    A nome with |p| >= 1 raises ValueError: the product does not converge.
+    pa = |p| and lp2 = log2|p|; ipow(k) is sc(p).ipow(k) and powers(J) the
+    list 1, p, p^2, ... of at least J entries, each the one before times p;
+    both grow on demand and keep what they computed.
+    """
+
+    __slots__ = ("p", "pa", "lp2", "sp", "ipows", "pjs")
+
+    def __init__(self, p, pa: float):
+        self.p = p
+        self.pa = pa
+        self.lp2 = math.log2(pa)
+        self.sp = sc(p)
+        self.ipows = {}
+        self.pjs = [1.0 + 0j]
+
+    def ipow(self, k: int) -> ScaledComplex:
+        out = self.ipows.get(k)
+        if out is None:
+            out = self.ipows[k] = self.sp.ipow(k)
+        return out
+
+    def powers(self, terms: int) -> list:
+        pjs = self.pjs
+        while len(pjs) < terms:
+            pjs.append(pjs[-1] * self.p)
+        return pjs
+
+
+def _nome(p) -> _Nome:
+    """The cached record of a nome 0 < |p| < 1; ValueError for |p| >= 1."""
+    key = (p, math.copysign(1.0, p.real), math.copysign(1.0, p.imag))
+    nome = _nomes.get(key)
+    if nome is None:
+        pa = abs(p)
+        if not pa < 1.0:
+            raise ValueError(f"nome must satisfy |p| < 1, got |p| = {pa}")
+        if len(_nomes) >= NOME_SLOTS:
+            _nomes.clear()
+        nome = _nomes[key] = _Nome(p, pa)
+    return nome
+
+
+def theta_scaled(a, p: complex) -> tuple[ScaledComplex, float]:
+    """theta(a; p) in scaled form, plus a bound on its nearness to a zero.
+
+    Accepts a as complex or ScaledComplex of any magnitude; a non-finite a
+    raises ValueError, and so does a nome with |p| >= 1 (the product does
+    not converge).  The second value, minfac, is the smaller modulus of
+    the two j = 0 factors 1 - a' and 1 - p/a' of the reduced argument a'.
+    Since |p| < |a'| <= 1, every other factor has modulus at least
+    1 - |p|, which exceeds 0.06 for any nome that MAX_TERMS admits (it
+    rejects |p| above about 0.935).  So minfac falls below POLE_TOL exactly
+    when the smallest factor does, and then equals it.  At p = 0 it is
+    |1 - a|, reported as +inf when that overflows.
     """
     a = sc(a)
+    if not cmath.isfinite(a.m):
+        raise ValueError(f"theta argument a must be finite, got a = {a.m}")
     if p == 0:
         # 1 - a extends continuously to a = 0; the infinite product itself
         # needs a != 0, which the p != 0 branch enforces
         val = ONE - a
         return val, abs(val)
-    pa = abs(p)
-    if not pa < 1.0:
-        raise ValueError(f"nome must satisfy |p| < 1, got |p| = {pa}")
+    nome = _nome(p)
     if a.is_zero():
         raise ZeroArgument("theta argument must be nonzero")
 
-    lp2 = math.log2(pa)
-    m = math.ceil(a.log2_abs() / -lp2)
+    m = math.ceil(a.log2_abs() / -nome.lp2)
     if m != 0:
-        pref = a.ipow(m) * sc(p).ipow(m * (m - 1) // 2)
+        pref = a.ipow(m) * nome.ipow(m * (m - 1) // 2)
         if m % 2:
             pref = -pref
-        an = (a * sc(p).ipow(m)).to_complex()
+        an = (a * nome.ipow(m)).to_complex()
     else:
         pref = None
         an = a.to_complex()
 
+    pa = nome.pa
     terms = truncation_terms(abs(an), pa)
     if terms > MAX_TERMS:
         raise TruncationNotConverged(
             f"theta at |a| = {abs(an):.3g}, |p| = {pa:.3g} needs J = {terms} "
             f"> MAX_TERMS = {MAX_TERMS}")
 
+    pjs = nome.powers(terms)
     inv = p / an
+    f1 = 1.0 - an * pjs[0]
+    f2 = 1.0 - inv * pjs[0]
+    minfac = min(abs(f1), abs(f2))
     prod = 1.0 + 0j
-    pj = 1.0 + 0j
-    minfac = math.inf
-    for _ in range(terms):
-        f1 = 1.0 - an * pj
-        f2 = 1.0 - inv * pj
-        m1 = abs(f1)
-        if m1 < minfac:
-            minfac = m1
-        m2 = abs(f2)
-        if m2 < minfac:
-            minfac = m2
-        prod *= f1 * f2
-        pj *= p
+    prod *= f1 * f2
+    for pj in pjs[1:terms]:
+        prod *= (1.0 - an * pj) * (1.0 - inv * pj)
 
     out = ScaledComplex(prod)
     if pref is not None:

@@ -43,6 +43,12 @@ def test_sample_q_annulus_and_box():
             assert -1 <= z.real <= 1 and -1 <= z.imag <= 1
 
 
+def test_sample_params_rejects_non_finite_fixed_values():
+    cfg = SampleConfig(seed=5, trials=1)
+    with pytest.raises(ValueError, match="parameters must be finite, got b=inf"):
+        sample_params("tel-c", cfg, 0, 3, fixed={"b": float("inf")})
+
+
 def test_m00_bases_distinct():
     cfg = SampleConfig(seed=2, trials=1)
     prm = sample_params("m00", cfg, 0, 3)

@@ -232,6 +232,16 @@ def test_domain_rejects_poles():
         evaluate("tel-c", {"a": 2.0, "b": 0.3, "q": 0.5, "p": 0.2}, 3)
 
 
+@pytest.mark.parametrize("ident, params, bad", [
+    ("tel-c", {"a": complex("nan"), "b": 0.3, "q": 0.5, "p": 0.2}, r"a=\(nan\+0j\)"),
+    ("qodds", {"q": float("nan")}, "q=nan"),
+    ("tel-c", {"a": 0.4, "b": 0.3, "q": 0.5, "p": complex(0.1, float("inf"))}, "p=.*inf"),
+])
+def test_evaluate_rejects_non_finite_parameters(ident, params, bad):
+    with pytest.raises(ValueError, match="parameters must be finite, got " + bad):
+        evaluate(ident, params, 3)
+
+
 _THETA_POLE = "denominator theta factor within 1e-06 of zero"
 _INDEF1_POLE = {"a": 2.0, "b": 0.5, "q": 0.5}
 
