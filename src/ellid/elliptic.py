@@ -29,12 +29,12 @@ Every context reaches numbers only through its environment's arithmetic:
 one, zero, lift(x), pow, den, sum, and theta/theta_den for the quotients.
 So num(z) and wt(k) return values of that field: ScaledComplex for the
 contexts here, which inherit _scaled.ScaledArith (write
-complex(AQCtx(a, q).num(z)) for a plain number).  Another field is a mixin
-listed first, e.g. class MpEllipticCtx(MpField, FullEllipticCtx): pass,
-with the parameters passed in that field.  FullEllipticCtx validates its
-inputs (|p| < 1, q != 0, and a, b nonzero when p != 0), every closed form
-needs q != 0 and ABQCtx needs b != 0 (it divides by b); a violation raises
-ValueError.  Each denominator factor 1 - x goes through den, each
+complex(AQCtx(a, q).num(z)) for a plain number).  A catalog builder lists
+another field first over a context class, e.g. get_identity("tel-c").env(
+prm, MpField), with the parameters passed in that field.  FullEllipticCtx
+validates its inputs (|p| < 1, q != 0, and a, b nonzero when p != 0), every
+closed form needs q != 0 and ABQCtx needs b != 0 (it divides by b); a
+violation raises ValueError.  Each denominator factor 1 - x goes through den, each
 denominator theta through theta_den.
 
 ThetaEnv, the double theta environment, memoises theta for its lifetime;

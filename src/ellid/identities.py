@@ -29,11 +29,12 @@ from these two by stepping a _Slot.  The double-precision arithmetic is
 _scaled.ScaledArith, whose sum also rejects a draw that cancels beyond
 COND_LIMIT and whose lift(x) brings a parameter into the field; the theta
 environment ThetaEnv lives in `elliptic` (re-exported here), and the exact
-modes use qexact.ExactArith.  The double environments themselves, NumericQ
-and the contexts, reach numbers only through that arithmetic, so another
-field listed first as a mixin runs them, and every evaluator, unchanged
-once the caller promotes the parameters to its number type; the tests do
-so over mpmath at 40 digits and over GF(2^61 - 1).
+modes use qexact.ExactArith and ExactQ.  A builder env(params, field) takes
+the field, an arithmetic class (FIELDS maps each mode to one), and lists any
+other field first over its environment's class; since NumericQ and the
+contexts reach numbers only through that arithmetic, every evaluator runs
+unchanged in any field once the caller promotes the parameters to its number
+type (the tests use an mpmath field and GF(2^61 - 1)).
 
 Degeneration edges record how each identity specializes into the next one
 down the chain (nome to zero, parameters to 0/1/q/infinity, index shifts),
@@ -50,7 +51,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import mul
 from typing import Callable, Optional
 
@@ -64,6 +65,9 @@ from .qexact import ExactArith, ExactQ, RationalFn
 MODE_NUMERIC = "numeric-elliptic"
 MODE_EXACT_Q = "exact-q"
 MODE_EXACT_RATIONAL = "exact-rational"
+
+#: the field each verification mode computes in
+FIELDS = {MODE_NUMERIC: ScaledArith, MODE_EXACT_Q: ExactQ, MODE_EXACT_RATIONAL: ExactArith}
 
 
 # ---------------------------------------------------------------------------
@@ -672,36 +676,46 @@ def _sumcubes_rhs(env, prm, n):
 # descriptors and catalog
 # ---------------------------------------------------------------------------
 
-# Each builder env(params, exact) returns what an identity's evaluators run
-# over, a fresh one per call: the q-provider, a specialization context, the
-# theta environment, or the plain double or Fraction arithmetic.
+# Each builder env(params, field) returns what an identity's evaluators run
+# over, a fresh one per call, in the field (an arithmetic class): the
+# q-provider, a specialization context, the theta environment, or the field.
 
-def _q_env(prm, exact):
-    return ExactQ() if exact else NumericQ(prm["q"])
-
-
-def _full_env(prm, exact):
-    return FullEllipticCtx(prm["a"], prm["b"], prm["q"], prm["p"])
-
-
-def _abq_env(prm, exact):
-    return ABQCtx(prm["a"], prm["b"], prm["q"])
+@cache
+def _over(field, cls):
+    """cls computing in field: cls itself when it already does, else one
+    class, made once, that lists field first over cls."""
+    if issubclass(cls, field):
+        return cls
+    return type(f"{field.__name__}{cls.__name__}", (field, cls), {})
 
 
-def _aq_env(prm, exact):
-    return AQCtx(prm["a"], prm["q"])
+def _q_env(prm, field):
+    # in the exact-q field q is the indeterminate, not a parameter
+    return ExactQ() if field is ExactQ else _over(field, NumericQ)(prm["q"])
 
 
-def _bq_env(prm, exact):
-    return BQCtx(prm["b"], prm["q"])
+def _full_env(prm, field):
+    return _over(field, FullEllipticCtx)(prm["a"], prm["b"], prm["q"], prm["p"])
 
 
-def _theta_env(prm, exact):
-    return ThetaEnv()
+def _abq_env(prm, field):
+    return _over(field, ABQCtx)(prm["a"], prm["b"], prm["q"])
 
 
-def _rational_env(prm, exact):
-    return ExactArith() if exact else ScaledArith()
+def _aq_env(prm, field):
+    return _over(field, AQCtx)(prm["a"], prm["q"])
+
+
+def _bq_env(prm, field):
+    return _over(field, BQCtx)(prm["b"], prm["q"])
+
+
+def _theta_env(prm, field):
+    return _over(field, ThetaEnv)()
+
+
+def _rational_env(prm, field):
+    return field()
 
 
 @dataclass(frozen=True)
@@ -711,7 +725,7 @@ class IdentityDescriptor:
     id: str
     title: str
     source: str
-    env: Callable                     # env(params, exact): what lhs/rhs evaluate over
+    env: Callable                     # env(params, field): what lhs/rhs evaluate over
     param_signature: tuple            # ((name, kind), ...) kinds: complex / non-negative-integer / positive-integer
     modes: frozenset
     lhs: Callable
@@ -890,19 +904,21 @@ class VerificationResult:
     trial: Optional[int] = None
 
 
-def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, exact: bool = False):
-    """Raw (lhs, rhs) values; poles surface as DomainRejected.
+def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, field=ScaledArith):
+    """Raw (lhs, rhs) values in field; poles surface as DomainRejected.
 
-    Each side gets its own environment.  A theta environment (a full-elliptic
-    context is one) memoises theta; one shared by both sides would let a
-    wrong memoised value enter both alike, where it could cancel in the
-    comparison.
+    Over ExactArith the parameters are first made Fractions.  Each side gets
+    its own environment.  A theta environment (a full-elliptic context is
+    one) memoises theta; one shared by both sides would let a wrong memoised
+    value enter both alike, where it could cancel in the comparison.
     """
     if n < desc.min_n:
         raise DomainRejected(f"{desc.id} needs n >= {desc.min_n}")
+    if field is ExactArith:
+        params = {k: Fraction(v) for k, v in params.items()}
     try:
-        lhs = desc.lhs(desc.env(params, exact), params, n)
-        rhs = desc.rhs(desc.env(params, exact), params, n)
+        lhs = desc.lhs(desc.env(params, field), params, n)
+        rhs = desc.rhs(desc.env(params, field), params, n)
     except (ZeroDivisionError, ZeroArgument) as exc:
         # a pinned zero in a theta-family argument: a * q / b at b = 0, or
         # theta(0; p) at a = 0
@@ -921,14 +937,14 @@ def _metrics_numeric(lv, rv) -> tuple[float, float]:
     return abs(diff), rel
 
 
-def _compare(pairs, exact: bool, tol: float):
+def _compare(pairs, field, tol: float):
     """Compare (lhs, rhs) pairs: the first pair's sides, abs_err, rel_err, passed.
 
-    Numeric: the largest _metrics_numeric over the pairs, passing at rel_err
-    <= tol.  Exact: every pair equal; a RationalFn pair is compared, and
-    returned, as its cross products lhs.num * rhs.den and rhs.num * lhs.den.
+    Double field: the largest _metrics_numeric over the pairs, passing at
+    rel_err <= tol.  Exact: every pair equal; a RationalFn pair is compared,
+    and returned, as its cross products lhs.num * rhs.den and rhs.num * lhs.den.
     """
-    if not exact:
+    if field is ScaledArith:
         errs = [_metrics_numeric(lv, rv) for lv, rv in pairs]
         abs_err, rel_err = map(max, zip(*errs))
         lv, rv = pairs[0]
@@ -946,15 +962,6 @@ def _exact_mode(desc: IdentityDescriptor) -> str:
         if mode in desc.modes:
             return mode
     raise ModeUnsupported(f"{desc.id} has no exact mode")
-
-
-def _exact_sides(desc: IdentityDescriptor, params: dict, n: int, mode: str):
-    """Exact (lhs, rhs): over ExactQ in exact-q mode, else over Fractions.
-
-    A pole raises DomainRejected from ExactQ.qn_den or ExactArith.den."""
-    if mode == MODE_EXACT_RATIONAL:
-        params = {k: Fraction(v) for k, v in params.items()}
-    return _eval_sides(desc, params, n, exact=True)
 
 
 def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
@@ -977,12 +984,9 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
     if not desc.supports(mode):
         raise ModeUnsupported(f"{desc.id} does not support mode {mode!r}")
 
-    if mode == MODE_NUMERIC:
-        sides = _eval_sides(desc, params, n)
-    else:
-        sides = _exact_sides(desc, params, n, mode)
+    field = FIELDS[mode]
     return VerificationResult(desc.id, mode, n,
-                              *_compare([sides], mode != MODE_NUMERIC, tol),
+                              *_compare([_eval_sides(desc, params, n, field)], field, tol),
                               dict(params), trial)
 
 
@@ -994,7 +998,7 @@ def eval_exact(ident, n: int, int_params: dict | None = None) -> tuple[RationalF
     """
     desc = get_identity(ident)
     mode = _exact_mode(desc)
-    lv, rv = _exact_sides(desc, dict(int_params or {}), n, mode)
+    lv, rv = _eval_sides(desc, int_params or {}, n, FIELDS[mode])
     if mode == MODE_EXACT_Q:
         return lv, rv
     return RationalFn.from_scalar(Fraction(lv)), RationalFn.from_scalar(Fraction(rv))
@@ -1008,7 +1012,7 @@ def eval_exact(ident, n: int, int_params: dict | None = None) -> tuple[RationalF
 class DegenerationEdge:
     """How a parent identity specializes into a child identity.
 
-    parent_sides(params, n, exact) evaluates the parent in its
+    parent_sides(params, n, field) evaluates the parent in its
     hand-derived limit form at the child's parameters, already multiplied by
     the normalizing prefactor the specialization picks up, so the result is
     directly comparable with the child's own evaluators.
@@ -1025,21 +1029,21 @@ class DegenerationEdge:
 def _edge(shape_lhs, shape_rhs, env, scale=None, shift=0, prm_map=None):
     """Parent evaluator: the parent's shapes in a limit environment.
 
-    env(prm, exact) builds what the shapes evaluate over (a limit context,
+    env(prm, field) builds what the shapes evaluate over (a limit context,
     a q-provider, or the theta environment), once per side, as in
     _eval_sides.  scale(P, prm, n) is the normalizing prefactor over the
     q-provider P for prm["q"]; both sides are multiplied by it.  The parent
     is evaluated at n - shift.
     """
 
-    def sides(prm, n, exact):
-        e = env(prm, exact)
+    def sides(prm, n, field):
+        e = env(prm, field)
         np_ = n - shift
         pp = prm if prm_map is None else prm_map(prm)
         if scale is None:
-            return shape_lhs(e, pp, np_), shape_rhs(env(prm, exact), pp, np_)
-        s = scale(_q_env(prm, exact), prm, n)
-        return shape_lhs(e, pp, np_) * s, shape_rhs(env(prm, exact), pp, np_) * s
+            return shape_lhs(e, pp, np_), shape_rhs(env(prm, field), pp, np_)
+        s = scale(_q_env(prm, field), prm, n)
+        return shape_lhs(e, pp, np_) * s, shape_rhs(env(prm, field), pp, np_) * s
 
     return sides
 
@@ -1060,11 +1064,11 @@ def _build_edges() -> dict:
             sides = _edge(pdesc.lhs, pdesc.rhs, env or pdesc.env, scale, shift, prm_map)
         E.append(DegenerationEdge(parent, child, note, sides, min_n, exact_ok))
 
-    full0 = lambda prm, exact: FullEllipticCtx(prm["a"], prm["b"], prm["q"], 0)
-    qctx = lambda prm, exact: QCtx(prm["q"])
-    qinv = lambda prm, exact: QInvCtx(prm["q"])
-    aq_at = lambda aval: (lambda prm, exact: AQCtx(aval(prm), prm["q"]))
-    bq_at = lambda bval: (lambda prm, exact: BQCtx(bval(prm), prm["q"]))
+    full0 = lambda prm, field: _over(field, FullEllipticCtx)(prm["a"], prm["b"], prm["q"], 0)
+    qctx = lambda prm, field: _over(field, QCtx)(prm["q"])
+    qinv = lambda prm, field: _over(field, QInvCtx)(prm["q"])
+    aq_at = lambda aval: (lambda prm, field: _over(field, AQCtx)(aval(prm), prm["q"]))
+    bq_at = lambda bval: (lambda prm, field: _over(field, BQCtx)(bval(prm), prm["q"]))
     one = lambda prm: 1.0
     q_ = lambda prm: prm["q"]
 
@@ -1127,17 +1131,17 @@ def _build_edges() -> dict:
         lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(3)) * P.qpow(3 * n))
     add("m3rising-aq", "m3rising-q2-aq",
         "q -> q^2 then a = q; multiply by [2]^3 [3]^3 q^(6n)/[6]",
-        lambda prm, exact: AQCtx(prm["q"], prm["q"] ** 2),
+        lambda prm, field: _over(field, AQCtx)(prm["q"], prm["q"] ** 2),
         lambda P, prm, n: ((P.qn(2) * P.qn(3)) * (P.qn(2) * P.qn(3))
                            * (P.qn(2) * P.qn(3)) / P.qn_den(6)) * P.qpow(6 * n))
     add("m3rising-aq", "m3rising-q2-a1q",
         "q -> q^2 then a = 1/q; multiply by [2]^3 q^(6n)/[6]",
-        lambda prm, exact: AQCtx(1.0 / prm["q"], prm["q"] ** 2),
+        lambda prm, field: _over(field, AQCtx)(1.0 / prm["q"], prm["q"] ** 2),
         lambda P, prm, n: (P.qn(2) * P.qn(2) * P.qn(2) / P.qn_den(6)) * P.qpow(6 * n))
 
     # main identity chain
     add("bigid", "bigid-hyper", "q -> 1 classical limit: [z] -> z, W -> 1",
-        lambda prm, exact: ClassicalCtx())
+        lambda prm, field: _over(field, ClassicalCtx)())
     add("bigid", "spc-1", "p -> 0 then b -> 0 closed form", _aq_env)
     add("spc-1", "spc-2", "a -> 0: products collapse into explicit q-powers", qinv)
     add("spc-2", "spc-4i", "c = d = g = 1, h = 0, index shift; scale q^(n-1)",
@@ -1147,7 +1151,7 @@ def _build_edges() -> dict:
         scale=lambda P, prm, n: P.qpow(n * n + n - 2), shift=1,
         prm_map=lambda prm: {"c": 1, "d": 1, "g": 1, "h": 1})
 
-    def _cubes_sides(prm, n, exact):
+    def _cubes_sides(prm, n, field):
         # cleared polynomial form of the hypergeometric identity at
         # c = d = 0, g = h = 1 (multiply by cd(ch+dg)/2 before the limit)
         lhs = sum(Fraction(k) ** 3 for k in range(n + 1))
@@ -1205,15 +1209,15 @@ def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
     if n < edge.min_n:
         raise DomainRejected(f"edge {ident} needs n >= {edge.min_n}")
 
-    exact = mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL)
-    if exact and not edge.exact_ok:
+    field = FIELDS[mode]
+    if field is not ScaledArith and not edge.exact_ok:
         raise ModeUnsupported(f"edge {ident} supports only numeric checking")
 
     try:
-        p_lhs, p_rhs = edge.parent_sides(params, n, exact)
+        p_lhs, p_rhs = edge.parent_sides(params, n, field)
     except (ZeroDivisionError, ZeroArgument) as exc:
         raise DomainRejected(str(exc)) from exc
-    c_lhs, c_rhs = _eval_sides(child, params, n, exact)
-    return VerificationResult(ident, mode if exact else MODE_NUMERIC, n,
-                              *_compare([(p_lhs, c_lhs), (p_rhs, c_rhs)], exact, tol),
+    c_lhs, c_rhs = _eval_sides(child, params, n, field)
+    return VerificationResult(ident, mode, n,
+                              *_compare([(p_lhs, c_lhs), (p_rhs, c_rhs)], field, tol),
                               dict(params), trial)

@@ -6,8 +6,8 @@ Given sequences u_k, v_k and t_k = u_k - v_k with t_0 != 0,
         = (u_0 / t_0) (u_1 u_2 ... u_n / (v_1 v_2 ... v_n) - v_0 / u_0),
 
 provided no denominator vanishes.  The engine evaluates both sides literally
-(running partial products, never per-k recomputation) over any value type
-with field operators: complex, ScaledComplex, Fraction, or RationalFn.
+(running partial products, never per-k recomputation) in the field of the
+pair's env, whose one and zero it reads: the lemma holds in every field.
 
 `builder` returns the concrete u/v pairs used in the proofs of the summation
 theorems verified by this package, together with the claimed closed form of
@@ -28,106 +28,96 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
-from ._scaled import ONE, ScaledComplex
+from ._scaled import ZERO, ScaledArith
 from .errors import DomainRejected, UnknownTheorem
-from .qexact import RationalFn
+from .identities import INT_MIN, get_identity
 
 VANISH_TOL = 1e-12  # a double vanishes at |x| <= VANISH_TOL * max |u_k|, |v_k|
 
 
 @dataclass
 class TelescopePair:
-    """Sequences u, v (callables k -> value) with an optional claimed t_k."""
+    """Sequences u, v (callables k -> value) with an optional claimed t_k,
+    whose values lie in the field of env: builder's context, else double."""
 
     u: Callable
     v: Callable
     label: str
     t_claim: Optional[Callable] = None
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, RationalFn))
-
-
-def _mag(x) -> float:
-    if isinstance(x, ScaledComplex):
-        return abs(x)
-    return abs(complex(x))
-
-
-def _zero(x, scale: float, exact: bool) -> bool:
-    if exact:
-        if isinstance(x, RationalFn):
-            return x.is_zero()
-        return x == 0
-    return _mag(x) <= VANISH_TOL * scale
+    env: object = ScaledArith()
 
 
 def telescope_both_sides(pair: TelescopePair, n: int):
     """Evaluate both sides of the telescoping identity for 0 <= k <= n.
 
-    Returns (lhs, rhs) in the value type produced by the pair.  Raises
-    DomainRejected if t_0, any of v_1..v_n, or any of u_0..u_{n-1} vanishes
-    (exactly in exact mode, below VANISH_TOL times the largest |u_k|, |v_k|
-    numerically).
+    Returns (lhs, rhs) in the field of pair.env.  Raises DomainRejected if
+    t_0, any of v_1..v_n, or any of u_0..u_{n-1} vanishes: over the double
+    field, when its modulus is at most VANISH_TOL times the largest |u_k|,
+    |v_k|; over any other field, when it equals the field's zero.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     us = [pair.u(k) for k in range(n + 1)]
     vs = [pair.v(k) for k in range(n + 1)]
     t0 = us[0] - vs[0]
-    exact = _is_exact(us[0])
+    one, zero = pair.env.one, pair.env.zero
 
-    if exact:
-        scale = 1.0
-    else:
-        scale = max((_mag(x) for x in us + vs), default=1.0)
+    # a context built over another field still subclasses ScaledArith, so
+    # the double field is told by its zero, not by isinstance
+    if zero is ZERO:
+        scale = max((abs(x) for x in us + vs), default=1.0)
         if scale == 0 or math.isinf(scale):
             scale = 1.0
-    if _zero(t0, scale, exact):
+
+        def vanishes(x):
+            return abs(x) <= VANISH_TOL * scale
+    else:
+        def vanishes(x):
+            return x == zero
+
+    if vanishes(t0):
         raise DomainRejected(f"{pair.label}: t_0 = u_0 - v_0 vanishes")
     for k in range(1, n + 1):
-        if _zero(vs[k], scale, exact):
+        if vanishes(vs[k]):
             raise DomainRejected(f"{pair.label}: v_{k} vanishes")
     for k in range(0, n):
-        if _zero(us[k], scale, exact):
+        if vanishes(us[k]):
             raise DomainRejected(f"{pair.label}: u_{k} vanishes")
 
     # lhs: running product of u_0..u_{k-1} / v_1..v_k, term (t_k/t_0) * ratio
     lhs = (us[0] - vs[0]) / t0  # k = 0 term, equals 1
-    ratio = _one_like(us[0])
+    ratio = one
     for k in range(1, n + 1):
         ratio = ratio * us[k - 1] / vs[k]
         lhs = lhs + ((us[k] - vs[k]) / t0) * ratio
 
-    prod = _one_like(us[0])
+    prod = one
     for k in range(1, n + 1):
         prod = prod * us[k] / vs[k]
     rhs = (us[0] / t0) * (prod - vs[0] / us[0])
     return lhs, rhs
 
 
-def _one_like(x):
-    if isinstance(x, ScaledComplex):
-        return ONE
-    if isinstance(x, RationalFn):
-        return RationalFn.one()
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    return 1.0 + 0j if isinstance(x, complex) else 1
+def _m(theorem_id: str, extra: dict) -> int:
+    """extra["m"], an int no less than the least value of its catalog kind."""
+    m = extra["m"]
+    least = INT_MIN[dict(get_identity(theorem_id).param_signature)["m"]]
+    if type(m) is not int or m < least:
+        raise ValueError(f"{theorem_id} needs an integer m >= {least}, got m = {m!r}")
+    return m
 
 
 def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
     """The u/v (and claimed t) sequences from the named summation proof.
 
     ctx is an elliptic context (any class of `elliptic`, e.g. the one a
-    catalog identity's `env` builds, or any object with num, wt and one)
-    whose num/wt the sequences use, so the sequences take its number type.
-    extra carries per-theorem data: m for "tel-a"/"tel-b", the four complex
-    parameters c, d, g, h for "bigid".
+    catalog identity's `env(params, field)` builds, or any environment with
+    num, wt, one and zero) whose num/wt the sequences use, so they lie in its
+    field; the pair's env is ctx.  extra carries per-theorem data: m for
+    "tel-a"/"tel-b" (an int no less than in the catalog, else ValueError),
+    the four parameters c, d, g, h for "bigid".
     """
     extra = extra or {}
 
@@ -141,10 +131,10 @@ def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
         def t(k):
             return ctx.wt(k - 1, s=1) * (ctx.num(k + 1) * ctx.num(2, s=k) - ctx.one)
 
-        return TelescopePair(u, v, "tel-c", t)
+        return TelescopePair(u, v, "tel-c", t, ctx)
 
     if theorem_id == "tel-a":
-        m = int(extra["m"])
+        m = _m(theorem_id, extra)
 
         def u(k):
             out = ctx.one
@@ -161,12 +151,10 @@ def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
                 out = out * ctx.num(k + i)
             return out
 
-        return TelescopePair(u, v, f"tel-a(m={m})", t)
+        return TelescopePair(u, v, f"tel-a(m={m})", t, ctx)
 
     if theorem_id == "tel-b":
-        m = int(extra["m"])
-        if m < 1:
-            raise ValueError("tel-b needs m >= 1 (t_0 vanishes at m = 0)")
+        m = _m(theorem_id, extra)
 
         def u(k):
             out = ctx.one
@@ -184,7 +172,7 @@ def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
                 den = den * ctx.num(k + i)
             return -(out / den)
 
-        return TelescopePair(u, v, f"tel-b(m={m})", t)
+        return TelescopePair(u, v, f"tel-b(m={m})", t, ctx)
 
     if theorem_id == "bigid":
         c, d, g, h = extra["c"], extra["d"], extra["g"], extra["h"]
@@ -206,6 +194,6 @@ def builder(theorem_id: str, ctx, extra: dict | None = None) -> TelescopePair:
                     * ctx.num(2 * g * h * k + c * h + d * g,
                               s=(g * k - g + c) * (h * k + d)))
 
-        return TelescopePair(u, v, "bigid", t)
+        return TelescopePair(u, v, "bigid", t, ctx)
 
     raise UnknownTheorem(f"no telescoping builder named {theorem_id!r}")

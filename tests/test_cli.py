@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +212,13 @@ def test_bad_tol_exits_2_before_any_draw(command, tol, monkeypatch, capsys):
     monkeypatch.setattr(ellid.harness, "_first_admissible", no_draws)
     assert main([*command, "--tol", tol]) == 2
     assert capsys.readouterr().err.startswith("error: tol must lie in (0, 1)")
+
+
+def test_import_stays_lean():
+    # in a fresh interpreter: a heavy import would show in every command's start-up
+    heavy = ("mpmath", "numpy", "sympy", "hypothesis")
+    code = f"import sys, ellid; print([m for m in {heavy} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -1,10 +1,10 @@
 """Exact checks of the q- and p = 0 elliptic identities over GF(2^61 - 1).
 
 FpField, defined here, is the environment arithmetic over the prime field
-GF(P): theta(x; 0) = 1 - x, and q^z is q^(z mod (P - 1)).  Listed first in a
-class with a package environment it replaces the double arithmetic, so the
-package's own num/wt and qn/qn_den formulas run over field elements drawn at
-random.  Both sides of an identity are rational functions of a, b and q; a
+GF(P): theta(x; 0) = 1 - x, and q^z is q^(z mod (P - 1)).  desc.env(prm,
+FpField) lists it first over the package environment, replacing the double
+arithmetic, so the package's own num/wt and qn/qn_den formulas run over
+field elements drawn at random.  Both sides of an identity are rational functions of a, b and q; a
 nonzero rational function of degree D vanishes at a uniformly random point
 of GF(P) with probability at most D / P (Schwartz 1980; Zippel 1979), so
 exact equality at one random point is strong evidence of the identity, and
@@ -18,10 +18,9 @@ import random
 
 import pytest
 
-from ellid.elliptic import ABQCtx, AQCtx, BQCtx, FullEllipticCtx
 from ellid.errors import DomainRejected
-from ellid.identities import NumericQ, catalog, get_identity
-from ellid.telescope import builder
+from ellid.identities import catalog, get_identity
+from ellid.telescope import TelescopePair, builder, telescope_both_sides
 
 P = 2**61 - 1
 
@@ -99,35 +98,6 @@ class FpField:
         return self.den(self.theta(x, p))
 
 
-class FpQ(FpField, NumericQ):
-    pass
-
-
-class FpEllipticCtx(FpField, FullEllipticCtx):
-    pass
-
-
-class FpABQCtx(FpField, ABQCtx):
-    pass
-
-
-class FpAQCtx(FpField, AQCtx):
-    pass
-
-
-class FpBQCtx(FpField, BQCtx):
-    pass
-
-
-#: the catalog's env builder -> the same environment over GF(P), at p = 0
-ENVS = {
-    "_q_env": lambda prm: FpQ(prm["q"]),
-    "_full_env": lambda prm: FpEllipticCtx(prm["a"], prm["b"], prm["q"], 0),
-    "_abq_env": lambda prm: FpABQCtx(prm["a"], prm["b"], prm["q"]),
-    "_aq_env": lambda prm: FpAQCtx(prm["a"], prm["q"]),
-    "_bq_env": lambda prm: FpBQCtx(prm["b"], prm["q"]),
-}
-
 PLAIN_Q = [d.id for d in catalog() if d.env.__name__ == "_q_env"]
 ELLIPTIC = [d.id for d in catalog()
             if d.env.__name__ in ("_full_env", "_abq_env", "_aq_env", "_bq_env")]
@@ -136,7 +106,7 @@ ELLIPTIC = [d.id for d in catalog()
 def _params(seed):
     rng = random.Random(seed)
     prm = {k: Fp(rng.randrange(2, P)) for k in ("a", "b", "q")}
-    prm.update(m=2, c=2, d=3, g=1, h=2)
+    prm.update(p=0, m=2, c=2, d=3, g=1, h=2)
     return prm
 
 
@@ -148,10 +118,9 @@ def test_catalog_split():
                          + [(i, n) for i in ELLIPTIC for n in (3, 6)])
 def test_sides_equal_over_gf(ident, n):
     desc = get_identity(ident)
-    env = ENVS[desc.env.__name__]
     prm = _params(f"{ident}|{n}")
-    lhs = desc.lhs(env(prm), prm, n)
-    rhs = desc.rhs(env(prm), prm, n)
+    lhs = desc.lhs(desc.env(prm, FpField), prm, n)
+    rhs = desc.rhs(desc.env(prm, FpField), prm, n)
     assert isinstance(lhs, Fp) and lhs == rhs
     # an empty sum makes both sides zero, which no scaling can tell apart
     if n > 0:
@@ -160,11 +129,19 @@ def test_sides_equal_over_gf(ident, n):
         assert lhs != rhs * (FpField.one + q * q)
 
 
-def test_tel_c_difference_over_gf():
-    prm = _params("tel-c builder")
-    pair = builder("tel-c", ENVS["_full_env"](prm))
+@pytest.mark.parametrize("tid", ["tel-c", "tel-a", "tel-b", "bigid"])
+def test_telescoped_sides_over_gf(tid):
+    # _params carries m = 2 and (c, d, g, h) = (2, 3, 1, 2)
+    prm = _params(f"{tid} telescoped")
+    pair = builder(tid, get_identity(tid).env(prm, FpField), prm)
+    lhs, rhs = telescope_both_sides(pair, 5)
+    assert isinstance(lhs, Fp) and isinstance(rhs, Fp) and lhs == rhs
+    assert all(pair.u(k) - pair.v(k) == pair.t_claim(k) for k in range(1, 6))
+    # negative control: u_2 off by 1 + q^2.  Euler's lemma holds for any u
+    # and v, so the telescoped sides still agree (at other values), and only
+    # the difference equation u_2 - v_2 = t_2 fails
     q = prm["q"]
-    for k in range(1, 6):
-        diff = pair.u(k) - pair.v(k)
-        assert diff == pair.t_claim(k)
-        assert diff != pair.t_claim(k) * (FpField.one + q * q)
+    bad = TelescopePair(lambda k: pair.u(k) * (FpField.one + q * q) if k == 2 else pair.u(k),
+                        pair.v, pair.label, env=pair.env)
+    bad_lhs, bad_rhs = telescope_both_sides(bad, 5)
+    assert bad_lhs == bad_rhs != rhs and bad.u(2) - bad.v(2) != pair.t_claim(2)

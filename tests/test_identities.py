@@ -6,13 +6,14 @@ import pytest
 import ellid.elliptic
 import ellid.identities
 from ellid._scaled import ZERO, ScaledArith, cpow
-from ellid.elliptic import BQCtx, FullEllipticCtx
+from ellid.elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx, QCtx,
+                            QInvCtx)
 from ellid.errors import (DomainRejected, ModeUnsupported, UnknownEdge,
                           UnknownIdentity)
 from ellid.harness import result_record
 from ellid.identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
-                              ThetaEnv, catalog, edges, eval_exact, evaluate,
-                              get_edge, get_identity, reduce_chain_check)
+                              NumericQ, ThetaEnv, _over, catalog, edges, eval_exact,
+                              evaluate, get_edge, get_identity, reduce_chain_check)
 from ellid.qexact import ExactArith, ExactQ, LaurentPoly, RationalFn, q_number
 from ellid.theta import factorial_scaled, theta_scaled
 
@@ -181,9 +182,9 @@ def test_all_edges_verify(draws):
 def _times_q(sides):
     """parent_sides with both sides multiplied by q, or by 2 without a q."""
 
-    def mutant(prm, n, exact):
-        lhs, rhs = sides(prm, n, exact)
-        if exact:
+    def mutant(prm, n, field):
+        lhs, rhs = sides(prm, n, field)
+        if field is ExactQ:
             f = ExactQ().qpow(1)
         elif "q" in prm and not isinstance(lhs, Fraction):
             f = prm["q"]
@@ -212,6 +213,16 @@ def test_edge_scale_mutants_fail(monkeypatch):
                             dataclasses.replace(e, parent_sides=_times_q(e.parent_sides)))
         assert not any(check().passed for check in checks), (e.parent, e.child)
     assert len(edges()) == 42 and exact_checked == 2
+
+
+def test_double_field_creates_no_class():
+    # every class a catalog or edge builder lists a field over already
+    # computes in the double field, so the double path builds it unchanged
+    own = (NumericQ, FullEllipticCtx, ABQCtx, AQCtx, BQCtx, QCtx, QInvCtx, ClassicalCtx,
+           ThetaEnv)
+    assert all(_over(ScaledArith, cls) is cls for cls in own)
+    prm = {"a": 0.3, "b": 0.2, "q": 0.5, "p": 0.1}
+    assert {type(d.env(prm, ScaledArith)) for d in catalog()} <= {*own, ScaledArith}
 
 
 def test_edge_least_n_and_exact_support_are_derived():
@@ -283,9 +294,9 @@ def test_edge_fails_on_parent_rhs_alone(monkeypatch):
     # the RHS pair can catch the perturbation
     edge = get_edge("spc-2", "spc-4i")
 
-    def rhs_times_q(prm, n, exact):
-        lhs, rhs = edge.parent_sides(prm, n, exact)
-        return lhs, rhs * (ExactQ().qpow(1) if exact else prm["q"])
+    def rhs_times_q(prm, n, field):
+        lhs, rhs = edge.parent_sides(prm, n, field)
+        return lhs, rhs * (ExactQ().qpow(1) if field is ExactQ else prm["q"])
 
     checks = [lambda: reduce_chain_check("spc-2", "spc-4i", {"q": 0.6 + 0.2j}, 4),
               lambda: reduce_chain_check("spc-2", "spc-4i", {}, 4, mode=MODE_EXACT_Q)]
@@ -360,9 +371,9 @@ def test_full_elliptic_sides_memoise_theta(monkeypatch):
     def one_env_per_side(ident):
         desc = get_identity(ident)
 
-        def env(prm, exact):
+        def env(prm, field):
             sides.append([])
-            return desc.env(prm, exact)
+            return desc.env(prm, field)
 
         monkeypatch.setitem(ellid.identities._CATALOG, ident,
                             dataclasses.replace(desc, env=env))

@@ -1,11 +1,11 @@
 """The catalog's evaluators over the package's environments in another field.
 
 MpField, defined here, is the environment arithmetic over mpmath numbers:
-one, zero, lift, sum, pow, den, theta and theta_den.  Listed first in a
-class with a package environment, it replaces that environment's double
-arithmetic while the environment's own formulas (num/wt, qn/qn_den) stay
-the package's.  The unchanged catalog lhs/rhs then run at 40 digits on a
-sampled draw promoted to mpc, with no ellid global patched.
+one, zero, lift, sum, pow, den, theta and theta_den.  desc.env(prm, MpField)
+lists it first over the package environment, replacing its double arithmetic
+while its own formulas (num/wt, qn/qn_den) stay the package's.  The unchanged
+catalog lhs/rhs then run at 40 digits on a sampled draw promoted to mpc, with
+no ellid global patched.
 """
 
 
@@ -14,10 +14,9 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from ellid._scaled import POLE_TOL
-from ellid.elliptic import ABQCtx, AQCtx, BQCtx, FullEllipticCtx
 from ellid.errors import DomainRejected
 from ellid.harness import SampleConfig, sample_params
-from ellid.identities import NumericQ, catalog, get_identity
+from ellid.identities import catalog, get_identity
 from ellid.telescope import builder
 
 DPS = 40
@@ -50,36 +49,6 @@ class MpField:
         return self.den(self.theta(x, p))
 
 
-class MpQ(MpField, NumericQ):
-    pass
-
-
-class MpEllipticCtx(MpField, FullEllipticCtx):
-    pass
-
-
-class MpABQCtx(MpField, ABQCtx):
-    pass
-
-
-class MpAQCtx(MpField, AQCtx):
-    pass
-
-
-class MpBQCtx(MpField, BQCtx):
-    pass
-
-
-#: the catalog's env builder -> the same environment over mpmath
-ENVS = {
-    "_q_env": lambda prm: MpQ(prm["q"]),
-    "_full_env": lambda prm: MpEllipticCtx(prm["a"], prm["b"], prm["q"], prm["p"]),
-    "_abq_env": lambda prm: MpABQCtx(prm["a"], prm["b"], prm["q"]),
-    "_aq_env": lambda prm: MpAQCtx(prm["a"], prm["q"]),
-    "_bq_env": lambda prm: MpBQCtx(prm["b"], prm["q"]),
-    "_theta_env": lambda prm: MpField(),
-}
-
 CHEAP = sorted(d.id for d in catalog()
                if d.env.__name__ in ("_q_env", "_abq_env", "_aq_env", "_bq_env")
                ) + ["indef-1", "cubic-odds"]
@@ -100,11 +69,10 @@ def _rel(x, y):
 @pytest.mark.parametrize("ident", CHEAP + SLOW)
 def test_catalog_sides_agree_at_40_digits(ident):
     desc = get_identity(ident)
-    env = ENVS[desc.env.__name__]
     with mp.workdps(DPS):
         prm = _mp_draw(ident)
-        lhs = desc.lhs(env(prm), prm, N)
-        rhs = desc.rhs(env(prm), prm, N)
+        lhs = desc.lhs(desc.env(prm, MpField), prm, N)
+        rhs = desc.rhs(desc.env(prm, MpField), prm, N)
         assert isinstance(lhs, mpc) and isinstance(rhs, mpc)
         assert _rel(lhs, rhs) < 1e-30
         # negative control: a 1e-20 relative RHS error is far above the floor
@@ -114,7 +82,7 @@ def test_catalog_sides_agree_at_40_digits(ident):
 def test_tel_a_builder_difference_at_40_digits():
     with mp.workdps(DPS):
         prm = _mp_draw("tel-a", m=2)
-        pair = builder("tel-a", ENVS["_full_env"](prm), {"m": 2})
+        pair = builder("tel-a", get_identity("tel-a").env(prm, MpField), {"m": 2})
         for k in range(1, 4):
             diff = pair.u(k) - pair.v(k)
             assert isinstance(diff, mpc)

@@ -3,27 +3,28 @@ import pytest
 from ellid.elliptic import QCtx
 from ellid.errors import DomainRejected, UnknownTheorem
 from ellid.identities import NumericQ, _sumeven_lhs
-from ellid.qexact import RationalFn, q_number
+from ellid.qexact import ExactQ, RationalFn, q_number
 from ellid.telescope import TelescopePair, builder, telescope_both_sides
 
 
 def test_engine_linear():
     pair = TelescopePair(lambda k: complex(k + 1), lambda k: complex(k), "linear")
     lhs, rhs = telescope_both_sides(pair, 4)
-    assert lhs == pytest.approx(5)
-    assert rhs == pytest.approx(5)
+    assert complex(lhs) == pytest.approx(5)
+    assert complex(rhs) == pytest.approx(5)
 
 
 def test_engine_geometric():
     pair = TelescopePair(lambda k: complex(2 ** (k + 1)), lambda k: complex(2**k), "geom")
     lhs, rhs = telescope_both_sides(pair, 3)
-    assert lhs == pytest.approx(15)
-    assert rhs == pytest.approx(15)
+    assert complex(lhs) == pytest.approx(15)
+    assert complex(rhs) == pytest.approx(15)
 
 
 def test_engine_exact_mode():
     # u_k = [k+1]_q, v_k = [k]_q over exact rational functions
-    pair = TelescopePair(lambda k: q_number(k + 1), lambda k: q_number(k), "exact")
+    pair = TelescopePair(lambda k: q_number(k + 1), lambda k: q_number(k), "exact",
+                         env=ExactQ())
     lhs, rhs = telescope_both_sides(pair, 5)
     assert isinstance(lhs, RationalFn)
     assert lhs == rhs
@@ -41,6 +42,14 @@ def test_engine_degenerate():
 def test_unknown_theorem():
     with pytest.raises(UnknownTheorem):
         builder("tel-z", QCtx(0.5))
+
+
+@pytest.mark.parametrize("tid, m", [("tel-a", 2.7), ("tel-b", True), ("tel-a", -3),
+                                   ("tel-b", 0)])
+def test_builder_rejects_bad_m(tid, m):
+    # m is neither coerced (2.7 -> 2, True -> 1) nor left to surface as a pole
+    with pytest.raises(ValueError, match=f"m = {m!r}"):
+        builder(tid, QCtx(0.5), {"m": m})
 
 
 def test_builder_telc_spec_example():

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 from ellid._scaled import ScaledComplex, sc
-from ellid.theta import theta_scaled
+from ellid.theta import shifted_factorial, theta_prod, theta_scaled
 
 DPS = 40
 
@@ -24,14 +24,18 @@ def _exact(x) -> mpmath.mpc:
         return mpmath.mpc(x.m) * mpmath.mpf(2) ** x.e
 
 
+def _theta(a, p) -> mpmath.mpc:
+    """The reference theta(a; p) of mpmath values a and p."""
+    return mpmath.qp(a, p) * mpmath.qp(p / a, p)
+
+
 def _worst(cases) -> float:
     """Largest |theta_scaled - reference| / |reference|, in scaled form."""
     worst = 0.0
     with mpmath.workdps(DPS):
         for a, p in cases:
             val, _ = theta_scaled(a, p)
-            a, pm = _exact(a), mpmath.mpc(p)
-            ref = mpmath.qp(a, pm) * mpmath.qp(pm / a, pm)
+            ref = _theta(_exact(a), mpmath.mpc(p))
             worst = max(worst, float(abs(_exact(val) - ref) / abs(ref)))
     return worst
 
@@ -47,13 +51,35 @@ def test_theta_matches_oracle_at_wide_nome(draws):
     assert _worst(cases) <= 1e-13
 
 
-@pytest.mark.parametrize("exponent", [30, -30])
+@pytest.mark.parametrize("exponent", [30, -30, 100, -100])
 def test_theta_matches_oracle_at_extreme_arguments(draws, exponent):
-    # |a| = 1e+-30: the quasi-periodic shift carries the whole magnitude,
-    # and to_complex() of the result overflows, so compare in scaled form
+    # |a| = 1e+-30 and 1e+-100: the quasi-periodic shift carries the whole
+    # magnitude, and to_complex() of the result overflows, so compare in
+    # scaled form
     mod = ScaledComplex.from_exp(complex(exponent * math.log(10)))
     cases = []
     for _ in range(20):
         u = draws.box(0.1)
         cases.append((sc(u / abs(u)) * mod, draws.p(0.5)))
-    assert _worst(cases) <= 1.2e-12
+    assert _worst(cases) <= {30: 1.2e-12, 100: 1e-11}[abs(exponent)]
+
+
+def test_shifted_factorial_matches_oracle(draws):
+    # (a; b, p)_k against the product of k reference thetas at a b^j
+    errs = []
+    with mpmath.workdps(DPS):
+        for _ in range(30):
+            a, b, p, k = draws.box(0.1), draws.q(), draws.p(0.5), draws.rng.randint(0, 6)
+            ref = mpmath.fprod(_theta(_exact(a) * _exact(b) ** j, _exact(p)) for j in range(k))
+            errs.append(abs(shifted_factorial(a, b, p, k) - ref) / abs(ref))
+    assert max(errs) <= 1e-13
+
+
+def test_theta_prod_matches_oracle(draws):
+    errs = []
+    with mpmath.workdps(DPS):
+        for _ in range(30):
+            args, p = [draws.box(0.1) for _ in range(draws.rng.randint(2, 4))], draws.p(0.5)
+            ref = mpmath.fprod(_theta(_exact(a), _exact(p)) for a in args)
+            errs.append(abs(theta_prod(args, p) - ref) / abs(ref))
+    assert max(errs) <= 1e-13
