@@ -185,6 +185,27 @@ def sc(z) -> ScaledComplex:
     return ScaledComplex(complex(z))
 
 
+def exact_key(z) -> tuple:
+    """A dict key for z under which equal keys mean bit-identical inputs.
+
+    The memos of the environments key their arguments by it, so a hit is
+    what a fresh computation returns.  A float or complex is keyed by its
+    type, its parts and the sign of each: complex(-0.3, 0.0) and
+    complex(-0.3, -0.0) compare equal yet lie on either side of the branch
+    cut of the logarithm.  A ScaledComplex is keyed likewise by its mantissa
+    and exponent.  Any other value (an int, an mpmath or GF(P) number) is
+    keyed by its type and itself, never rounded to a double; the type keeps
+    2 and 2.0 apart, since cpow expands small ints by multiplication.
+    """
+    t = type(z)
+    if t is ScaledComplex:
+        m = z.m
+        return (z.e, m.real, m.imag, math.copysign(1.0, m.real), math.copysign(1.0, m.imag))
+    if t is float or t is complex:
+        return (t, z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+    return (t, z)
+
+
 def cpow(base: complex, z) -> ScaledComplex:
     """base**z via exp(z * Log base), principal branch.
 

@@ -37,30 +37,29 @@ closed form needs q != 0 and ABQCtx needs b != 0 (it divides by b); a
 violation raises ValueError.  Each denominator factor 1 - x goes through den, each
 denominator theta through theta_den.
 
-ThetaEnv, the double theta environment, memoises theta for its lifetime;
-FullEllipticCtx is one, and the identity path builds one per side of a
-check.  A parameter shift a -> a q^(2s), b -> b q^s is the s argument of
-num and wt; every power of q, q^s included, is computed by qpow.
+ThetaEnv, the double theta environment, memoises theta for its lifetime,
+QEnv memoises qpow, and FullEllipticCtx (both of them) memoises num and
+wt; each memo is keyed by _scaled.exact_key of the arguments, so a hit is
+bit for bit what a fresh call returns.  The identity path builds one
+environment per check, which both sides share.  A parameter shift
+a -> a q^(2s), b -> b q^s is the s argument of num and wt; every power of
+q, q^s included, is computed by qpow.
 """
 
 from __future__ import annotations
 
-import math
-
-from ._scaled import ScaledArith, guard_factor
+from ._scaled import ScaledArith, exact_key, guard_factor
 from .theta import theta_scaled
 
 
 class ThetaEnv(ScaledArith):
     """ScaledArith plus theta and theta_den, memoised for the environment's lifetime.
 
-    The memo is keyed by the exact representation of the argument and by
-    the nome (a theta-family environment is asked at p, p^2 and 0), and a
-    hit is the value a fresh call would give.  The key tells signed zeros
-    apart: complex(-3, 0.0) and complex(-3, -0.0) compare and hash equal,
-    yet lie on either side of the branch cut of the logarithm inside
-    theta_scaled.  A NaN key never hits.  theta_scaled is looked up at call
-    time, so a wrapper installed on that module global sees every call.
+    The memo is keyed by exact_key of the argument and of the nome (a
+    theta-family environment is asked at p, p^2 and 0), so a hit is the
+    value a fresh call would give, signed zeros included.  theta_scaled is
+    looked up at call time, so a wrapper installed on that module global
+    sees every call.
     """
 
     def __init__(self):
@@ -68,9 +67,7 @@ class ThetaEnv(ScaledArith):
 
     def _theta_of(self, x, p):
         x = self.lift(x)
-        m = x.m
-        key = (x.e, m.real, m.imag,
-               math.copysign(1.0, m.real), math.copysign(1.0, m.imag), p)
+        key = (exact_key(x), exact_key(p))
         hit = self._theta.get(key)
         if hit is None:
             hit = self._theta[key] = theta_scaled(x, p)
@@ -94,10 +91,15 @@ class QEnv(ScaledArith):
         if q == 0:
             raise ValueError("q must be nonzero")
         self.q = q
+        self._qpow = {}
 
     def qpow(self, z):
-        """q^z, the one place a context computes a power of q."""
-        return self.pow(self.q, z)
+        """q^z, the one place a context computes a power of q; memoised."""
+        key = exact_key(z)
+        out = self._qpow.get(key)
+        if out is None:
+            out = self._qpow[key] = self.pow(self.q, z)
+        return out
 
     def _shifted_ab(self, s):
         qs = self.qpow(s)
@@ -115,6 +117,8 @@ class FullEllipticCtx(ThetaEnv, QEnv):
             raise ValueError("a and b must be nonzero when p != 0")
         ThetaEnv.__init__(self)
         self.a, self.b, self.p = a, b, p
+        self._num = {}
+        self._wt = {}
 
     def _tquot(self, nums, dens):
         p = self.p
@@ -136,17 +140,25 @@ class FullEllipticCtx(ThetaEnv, QEnv):
         )
 
     def num(self, z, s=0):
-        return self.num_from_power(self.qpow(z), s)
+        key = (exact_key(z), exact_key(s))
+        out = self._num.get(key)
+        if out is None:
+            out = self._num[key] = self.num_from_power(self.qpow(z), s)
+        return out
 
     def wt(self, k, s=0):
-        a_, b_ = self._shifted_ab(s)
-        q = self.q
-        q2 = q * q
-        qk = self.qpow(k)
-        return self._tquot(
-            [a_ * qk * qk * q, b_ * q, b_ * q2, a_ / (b_ * q), a_ / b_],
-            [a_ * q, b_ * qk * q, b_ * qk * q2, a_ * qk / (b_ * q), a_ * qk / b_],
-        ) * qk
+        key = (exact_key(k), exact_key(s))
+        out = self._wt.get(key)
+        if out is None:
+            a_, b_ = self._shifted_ab(s)
+            q = self.q
+            q2 = q * q
+            qk = self.qpow(k)
+            out = self._wt[key] = self._tquot(
+                [a_ * qk * qk * q, b_ * q, b_ * q2, a_ / (b_ * q), a_ / b_],
+                [a_ * q, b_ * qk * q, b_ * qk * q2, a_ * qk / (b_ * q), a_ * qk / b_],
+            ) * qk
+        return out
 
 
 class ABQCtx(QEnv):

@@ -907,18 +907,21 @@ class VerificationResult:
 def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, field=ScaledArith):
     """Raw (lhs, rhs) values in field; poles surface as DomainRejected.
 
-    Over ExactArith the parameters are first made Fractions.  Each side gets
-    its own environment.  A theta environment (a full-elliptic context is
-    one) memoises theta; one shared by both sides would let a wrong memoised
-    value enter both alike, where it could cancel in the comparison.
+    Over ExactArith the parameters are first made Fractions.  Both sides
+    evaluate over one environment, built once per check: the sides are
+    independent formulas, and what they share are the memos of theta, q^z
+    and a full-elliptic context's num/wt, each keyed by _scaled.exact_key,
+    so a value one side memoised is bit for bit what the other would
+    compute afresh.
     """
     if n < desc.min_n:
         raise DomainRejected(f"{desc.id} needs n >= {desc.min_n}")
     if field is ExactArith:
         params = {k: Fraction(v) for k, v in params.items()}
     try:
-        lhs = desc.lhs(desc.env(params, field), params, n)
-        rhs = desc.rhs(desc.env(params, field), params, n)
+        env = desc.env(params, field)
+        lhs = desc.lhs(env, params, n)
+        rhs = desc.rhs(env, params, n)
     except (ZeroDivisionError, ZeroArgument) as exc:
         # a pinned zero in a theta-family argument: a * q / b at b = 0, or
         # theta(0; p) at a = 0
@@ -1030,10 +1033,11 @@ def _edge(shape_lhs, shape_rhs, env, scale=None, shift=0, prm_map=None):
     """Parent evaluator: the parent's shapes in a limit environment.
 
     env(prm, field) builds what the shapes evaluate over (a limit context,
-    a q-provider, or the theta environment), once per side, as in
-    _eval_sides.  scale(P, prm, n) is the normalizing prefactor over the
-    q-provider P for prm["q"]; both sides are multiplied by it.  The parent
-    is evaluated at n - shift.
+    a q-provider, or the theta environment), once for both sides, as in
+    _eval_sides; the child's sides get an environment of their own.
+    scale(P, prm, n) is the normalizing prefactor over the q-provider P for
+    prm["q"]; both sides are multiplied by it.  The parent is evaluated at
+    n - shift.
     """
 
     def sides(prm, n, field):
@@ -1041,9 +1045,9 @@ def _edge(shape_lhs, shape_rhs, env, scale=None, shift=0, prm_map=None):
         np_ = n - shift
         pp = prm if prm_map is None else prm_map(prm)
         if scale is None:
-            return shape_lhs(e, pp, np_), shape_rhs(env(prm, field), pp, np_)
+            return shape_lhs(e, pp, np_), shape_rhs(e, pp, np_)
         s = scale(_q_env(prm, field), prm, n)
-        return shape_lhs(e, pp, np_) * s, shape_rhs(env(prm, field), pp, np_) * s
+        return shape_lhs(e, pp, np_) * s, shape_rhs(e, pp, np_) * s
 
     return sides
 

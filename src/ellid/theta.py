@@ -29,11 +29,11 @@ identity evaluators exact-to-tolerance without extending the product.
 What depends on the nome alone is computed once per nome: |p|, log2|p|,
 the powers sc(p).ipow(k) of the reduction and the list 1, p, p^2, ... that
 the product multiplies in.  A private cache keeps these for the last
-NOME_SLOTS nomes, keyed by the exact bits of p (signed zeros included,
-since the logarithm inside ipow puts complex(-0.3, 0.0) and
-complex(-0.3, -0.0) on either side of its branch cut); it is empty until
-the first call, and every cached value is bit for bit what a fresh
-computation gives.
+NOME_SLOTS nomes, keyed by _scaled.exact_key(p), the exact bits of p
+(signed zeros included, since the logarithm inside ipow puts
+complex(-0.3, 0.0) and complex(-0.3, -0.0) on either side of its branch
+cut); it is empty until the first call, and every cached value is bit
+for bit what a fresh computation gives.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._scaled import ONE, ScaledComplex, guard_factor, sc
+from ._scaled import ONE, ScaledComplex, exact_key, guard_factor, sc
 from .errors import TruncationNotConverged, ZeroArgument
 
 #: the tail bound a truncated theta product must meet
@@ -54,7 +54,7 @@ MAX_TERMS = 512
 #: and p^2, and a sampled sweep brings a new nome with every draw
 NOME_SLOTS = 8
 
-# the nome cache: (p, sign of p.real, sign of p.imag) -> _Nome, emptied when full
+# the nome cache: exact_key(p) -> _Nome, emptied when full
 _nomes: dict = {}
 
 
@@ -102,7 +102,7 @@ class _Nome:
 
 def _nome(p) -> _Nome:
     """The cached record of a nome 0 < |p| < 1; ValueError for |p| >= 1."""
-    key = (p, math.copysign(1.0, p.real), math.copysign(1.0, p.imag))
+    key = exact_key(p)
     nome = _nomes.get(key)
     if nome is None:
         pa = abs(p)

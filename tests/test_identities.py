@@ -353,8 +353,9 @@ def test_exact_env_pow():
 
 
 def test_full_elliptic_sides_memoise_theta(monkeypatch):
-    # each side builds its own context, and within a side no theta argument
-    # is computed twice
+    # evaluate builds one environment per check, which both sides share, and
+    # an edge check two (the parent's and the child's); within each, no
+    # theta argument is computed twice
     from ellid.harness import SampleConfig, sample_edge_params, sample_params
     sample_cfg = SampleConfig(seed=42, trials=1)
     pinned = {"tel-a": {"m": 2}, "tel-b": {"m": 2}}
@@ -362,17 +363,17 @@ def test_full_elliptic_sides_memoise_theta(monkeypatch):
     draws = {i: sample_params(i, sample_cfg, 0, 4, fixed=pinned.get(i)) for i in ids}
     edge_prm = sample_edge_params("tel-a", "m3rising", sample_cfg, 0, 4)
 
-    sides = []  # the theta arguments of each environment built, in order
+    envs = []  # the theta arguments of each environment built, in order
 
     def record(x, p):
-        sides[-1].append((x.e, repr(x.m)))
+        envs[-1].append((x.e, repr(x.m), repr(p)))
         return theta_scaled(x, p)
 
-    def one_env_per_side(ident):
+    def counted_env(ident):
         desc = get_identity(ident)
 
         def env(prm, field):
-            sides.append([])
+            envs.append([])
             return desc.env(prm, field)
 
         monkeypatch.setitem(ellid.identities._CATALOG, ident,
@@ -380,18 +381,18 @@ def test_full_elliptic_sides_memoise_theta(monkeypatch):
 
     monkeypatch.setattr(ellid.elliptic, "theta_scaled", record)
     for ident in ids:
-        one_env_per_side(ident)
-        sides.clear()
+        counted_env(ident)
+        envs.clear()
         assert evaluate(ident, draws[ident], 4).passed, ident
-        assert len(sides) == 2, ident
-        for keys in sides:
-            assert keys and len(set(keys)) == len(keys), ident
+        assert len(envs) == 1, ident
+        keys = envs[0]
+        assert keys and len(set(keys)) == len(keys), ident
 
-    # the edge's parent sides take the (wrapped) parent's env, built per side
+    # the edge's parent sides take the (wrapped) parent's env
     edge = ellid.identities._build_edges()[("tel-a", "m3rising")]
     monkeypatch.setitem(ellid.identities._EDGES, ("tel-a", "m3rising"), edge)
-    sides.clear()
+    envs.clear()
     assert reduce_chain_check("tel-a", "m3rising", edge_prm, 4).passed
-    assert len(sides) == 4  # parent lhs, parent rhs, child lhs, child rhs
-    for keys in sides:
+    assert len(envs) == 2  # the parent's and the child's
+    for keys in envs:
         assert keys and len(set(keys)) == len(keys)

@@ -87,3 +87,15 @@ def test_tel_a_builder_difference_at_40_digits():
             diff = pair.u(k) - pair.v(k)
             assert isinstance(diff, mpc)
             assert _rel(diff, pair.t_claim(k)) < 1e-30
+
+
+def test_qpow_memo_keeps_exponents_a_double_would_merge():
+    # z1 and z2 differ in the 31st digit, below a double's resolution, so a
+    # memo keyed by complex(z) would hand z2 the power of z1
+    with mp.workdps(DPS):
+        env = get_identity("tel-c-a").env({"a": mpc("0.3"), "q": mpc("0.5", "0.2")}, MpField)
+        z1 = mpf(1) / 3
+        z2 = z1 + mpf("1e-30")
+        assert complex(z1) == complex(z2)
+        assert env.qpow(z1) != env.qpow(z2)
+        assert env.qpow(z2) == MpField().pow(env.q, z2)
