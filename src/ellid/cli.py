@@ -21,10 +21,10 @@ import time
 
 from .errors import (DomainRejected, EllidError, ResamplingExhausted,
                      TruncationNotConverged)
-from .harness import (DEFAULT_TOL, THETA_CONFIG, SampleConfig, SuiteReport,
-                      result_record, run_suite, _check_tol, _sampled_check)
-from .identities import (INT_MIN, MODE_EXACT_Q, MODE_EXACT_RATIONAL,
-                         _exact_mode, catalog, evaluate, get_identity)
+from .harness import (THETA_CONFIG, SampleConfig, SuiteReport, result_record,
+                      run_suite, _sampled_check)
+from .identities import (DEFAULT_TOL, INT_MIN, MODE_EXACT_Q, MODE_EXACT_RATIONAL,
+                         _check_tol, _exact_mode, catalog, evaluate, get_identity)
 
 
 def _default_seed() -> int:
@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"pinned {pinned} rejects every draw: {exc}") from exc
     except DomainRejected as exc:
         # exact mode evaluates its pinned integers once; a pole rejects them
-        if not fixed or args.n < desc.min_n:
+        if not fixed:
             raise
         raise ValueError(f"pinned {pinned} is a pole of {desc.id}: {exc}") from exc
 

@@ -33,18 +33,17 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import partial
 
 from .errors import DomainRejected, ModeUnsupported, ResamplingExhausted
-from .identities import (INT_MIN, MODE_EXACT_Q, MODE_EXACT_RATIONAL,
-                         MODE_NUMERIC, VerificationResult, _exact_mode, edges,
-                         evaluate, get_edge, get_identity, reduce_chain_check)
+from .identities import (DEFAULT_TOL, EDGE_TOL, INT_MIN, MODE_NUMERIC,
+                         VerificationResult, _check_n, _check_tol, _exact_mode,
+                         edges, evaluate, get_edge, get_identity,
+                         reduce_chain_check)
 from ._scaled import POLE_TOL
 from .qexact import LaurentPoly
 from .theta import MAX_TERMS, TAIL_TOL
 
-DEFAULT_TOL = 1e-8
-EDGE_TOL = 1e-10
 #: the theta truncation every report records
 THETA_CONFIG = {"max_terms": MAX_TERMS, "tail_tol": TAIL_TOL}
 #: sampling boxes: |q| of a base; |p| of a nome; re, im and least |z| of a
@@ -149,10 +148,10 @@ def _draw_exact(rng: _CounterRng, signature) -> dict:
 def _first_admissible(draw, check, what: str) -> VerificationResult:
     """Draw until check(draw()) does not reject the draw; return its result.
 
-    check is the reported evaluation itself, and the one admissibility test:
-    a draw is rejected only when that evaluation raises DomainRejected, so an
-    accepted draw is evaluated once.  draw() advances the check's own stream,
-    so acceptance history cannot shift later trials.
+    check is the reported evaluate or reduce_chain_check call, and the one
+    admissibility test: only its DomainRejected rejects a draw, so an accepted
+    draw is evaluated once, and any other error (a bad tol) propagates at once.
+    draw() advances the check's own stream, so acceptance cannot shift trials.
     """
     for _ in range(MAX_RESAMPLES):
         try:
@@ -167,8 +166,7 @@ def _sampled_check(ident, cfg: SampleConfig, trial_index: int, n: int, tol: floa
                    fixed: dict | None = None) -> VerificationResult:
     """Numeric check of an identity at its first admissible draw."""
     desc = get_identity(ident)
-    if n < desc.min_n:
-        raise ValueError(f"{desc.id} needs n >= {desc.min_n}, got {n}")
+    _check_n(desc.id, n, desc.min_n)
     rng = _CounterRng(cfg.seed, desc.id, n, trial_index)
     return _first_admissible(
         lambda: _draw_params(rng, desc.param_signature, fixed),
@@ -180,12 +178,11 @@ def sample_params(ident, cfg: SampleConfig, trial_index: int, n: int = 4,
                   fixed: dict | None = None) -> dict:
     """First admissible parameter draw for (identity, n, trial_index).
 
-    The draw stream is keyed by (seed, id, n, trial_index).  The domain
-    predicate is realized by attempting both evaluators: a draw is admissible
-    exactly when no sub-evaluation hits the pole tolerance.  The suite runner
-    and `ellid verify` report the evaluation that accepted the draw instead
-    of evaluating these parameters again.  A non-finite fixed value raises
-    ValueError naming it.
+    The draw stream is keyed by (seed, id, n, trial_index).  A draw is
+    admissible when the numeric check at DEFAULT_TOL does not reject it
+    (raise DomainRejected).  The suite runner and `ellid verify` report the
+    evaluation that accepted the draw instead of evaluating these parameters
+    again.  A non-finite fixed value raises ValueError naming it.
     """
     return _sampled_check(ident, cfg, trial_index, n, DEFAULT_TOL, fixed).params
 
@@ -193,16 +190,25 @@ def sample_params(ident, cfg: SampleConfig, trial_index: int, n: int = 4,
 def _sampled_edge_check(parent_id: str, child_id: str, cfg: SampleConfig,
                         trial_index: int, n: int) -> VerificationResult:
     """Degeneration-edge check at its first admissible draw."""
-    edge = get_edge(parent_id, child_id)
-    if n < edge.min_n:
-        raise ValueError(f"edge {parent_id}->{child_id} needs n >= {edge.min_n}, got {n}")
+    ident = f"{parent_id}->{child_id}"
+    _check_n(ident, n, get_edge(parent_id, child_id).min_n)
     signature = get_identity(child_id).param_signature
-    rng = _CounterRng(cfg.seed, f"{parent_id}->{child_id}", n, trial_index)
+    rng = _CounterRng(cfg.seed, ident, n, trial_index)
     return _first_admissible(
         lambda: _draw_params(rng, signature),
         lambda prm: reduce_chain_check(parent_id, child_id, prm, n,
                                        tol=EDGE_TOL, trial=trial_index),
-        f"edge {parent_id}->{child_id} (n={n}, trial={trial_index})")
+        f"edge {ident} (n={n}, trial={trial_index})")
+
+
+def _exact_check(desc, cfg: SampleConfig, n: int, tol: float) -> VerificationResult:
+    """Exact check of an identity at the first small-integer draw it accepts."""
+    mode = _exact_mode(desc)
+    rng = _CounterRng(cfg.seed, desc.id, n, "exact")
+    return _first_admissible(
+        lambda: _draw_exact(rng, desc.param_signature),
+        lambda prm: evaluate(desc.id, prm, n, mode, tol),
+        f"{desc.id} (n={n}, {mode})")
 
 
 def sample_edge_params(parent_id: str, child_id: str, cfg: SampleConfig,
@@ -234,10 +240,7 @@ def result_record(res: VerificationResult) -> dict:
         lhs, rhs = _coeff_map(res.lhs), _coeff_map(res.rhs)
     else:
         lhs, rhs = _cnum(res.lhs), _cnum(res.rhs)
-    params = {}
-    for k in sorted(res.params):
-        v = res.params[k]
-        params[k] = _cnum(v) if not isinstance(v, (int, Fraction)) else [float(v), 0.0]
+    params = {k: _cnum(res.params[k]) for k in sorted(res.params)}
     return {"id": res.identity, "mode": res.mode, "n": res.n, "trial": res.trial,
             "lhs": lhs, "rhs": rhs, "abs_err": res.abs_err, "rel_err": res.rel_err,
             "pass": res.passed, "params": params}
@@ -282,25 +285,18 @@ class SuiteReport:
         return SuiteReport(d["config"], d["results"], d["timings"])
 
 
-def _check_tol(tol: float) -> None:
-    """A numeric tolerance is a number in (0, 1); nan and inf are not."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-
-
 def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
               include_edges: bool = False) -> SuiteReport:
     """Verify each identity for n in [0, n_max] over cfg.trials random draws.
 
-    Each numeric record is the evaluation that accepted its draw, so every
-    draw is evaluated once.  Identities with an exact mode additionally run
-    one exact check per n, at the first small-integer draw it accepts.
-    Per-trial failures (including resampling exhaustion) are recorded in the
-    report with the mode the check would have run in, never raised; a
+    A task is a record's (id, mode, n, trial) and its check, whose result is
+    the evaluation that accepted its draw.  Identities with an exact mode add
+    one exact check per n at the first small-integer draw it accepts; edges
+    (include_edges) are checked at EDGE_TOL.  Per-trial failures (resampling
+    exhaustion included) are recorded with the check's mode, never raised; a
     configuration that could only fail part-way (n_max < 0, tol outside
-    (0, 1)) raises ValueError first.  Theta products follow the 1e-14 tail
-    rule, which every sampled nome (|p| <= P_RADIUS) meets within
-    theta.MAX_TERMS terms.
+    (0, 1)) raises ValueError first.  Every sampled nome (|p| <= P_RADIUS)
+    meets the 1e-14 theta tail rule within theta.MAX_TERMS terms.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
@@ -312,40 +308,30 @@ def run_suite(ids, n_max: int, cfg: SampleConfig, tol: float = DEFAULT_TOL,
         for n in range(desc.min_n, n_max + 1):
             if MODE_NUMERIC in desc.modes:
                 for trial in range(cfg.trials):
-                    tasks.append(("id", desc.id, n, trial))
-            if MODE_EXACT_Q in desc.modes or MODE_EXACT_RATIONAL in desc.modes:
-                tasks.append(("exact", desc.id, n, None))
+                    tasks.append((desc.id, MODE_NUMERIC, n, trial,
+                                  partial(_sampled_check, desc, cfg, trial, n, tol)))
+            if desc.modes - {MODE_NUMERIC}:
+                tasks.append((desc.id, _exact_mode(desc), n, None,
+                              partial(_exact_check, desc, cfg, n, tol)))
     if include_edges:
         for edge in edges():
+            ident = f"{edge.parent}->{edge.child}"
             for n in range(edge.min_n, n_max + 1):
                 for trial in range(cfg.trials):
-                    tasks.append(("edge", f"{edge.parent}->{edge.child}", n, trial))
+                    tasks.append((ident, MODE_NUMERIC, n, trial,
+                                  partial(_sampled_edge_check, edge.parent,
+                                          edge.child, cfg, trial, n)))
 
-    def run_one(task) -> dict:
-        kind, ident, n, trial = task
-        mode = MODE_NUMERIC
+    def run_one(ident, mode, n, trial, check) -> dict:
         try:
-            if kind == "id":
-                res = _sampled_check(ident, cfg, trial, n, tol)
-            elif kind == "exact":
-                desc = get_identity(ident)
-                mode = _exact_mode(desc)
-                rng = _CounterRng(cfg.seed, ident, n, "exact")
-                res = _first_admissible(
-                    lambda: _draw_exact(rng, desc.param_signature),
-                    lambda prm: evaluate(ident, prm, n, mode, tol),
-                    f"{ident} (n={n}, {mode})")
-            else:
-                parent, child = ident.split("->")
-                res = _sampled_edge_check(parent, child, cfg, trial, n)
-            return result_record(res)
+            return result_record(check())
         except (DomainRejected, ResamplingExhausted, ModeUnsupported) as exc:
             return {"id": ident, "mode": mode, "n": n, "trial": trial,
                     "lhs": None, "rhs": None, "abs_err": math.inf,
                     "rel_err": math.inf, "pass": False,
                     "params": {}, "error": str(exc)}
 
-    records = [run_one(t) for t in tasks]
+    records = [run_one(*t) for t in tasks]
     return SuiteReport(config={"sample": cfg.to_dict(),
                                "theta": dict(THETA_CONFIG),
                                "tol": tol, "n_max": n_max,

@@ -68,6 +68,9 @@ MODE_EXACT_RATIONAL = "exact-rational"
 
 #: the field each verification mode computes in
 FIELDS = {MODE_NUMERIC: ScaledArith, MODE_EXACT_Q: ExactQ, MODE_EXACT_RATIONAL: ExactArith}
+#: the numeric rel_err an identity check, and a degeneration edge, passes at
+DEFAULT_TOL = 1e-8
+EDGE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -904,8 +907,20 @@ class VerificationResult:
     trial: Optional[int] = None
 
 
+def _check_tol(tol: float) -> None:
+    """A numeric tolerance is a number in (0, 1); nan and inf are not."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
+def _check_n(ident: str, n: int, min_n: int) -> None:
+    """n below an identity's or an edge's range: no redraw can fix it."""
+    if n < min_n:
+        raise ValueError(f"{ident} needs n >= {min_n}, got {n}")
+
+
 def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, field=ScaledArith):
-    """Raw (lhs, rhs) values in field; poles surface as DomainRejected.
+    """Raw (lhs, rhs) values in field; a pole raises DomainRejected.
 
     Over ExactArith the parameters are first made Fractions.  Both sides
     evaluate over one environment, built once per check: the sides are
@@ -914,19 +929,11 @@ def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, field=ScaledArit
     so a value one side memoised is bit for bit what the other would
     compute afresh.
     """
-    if n < desc.min_n:
-        raise DomainRejected(f"{desc.id} needs n >= {desc.min_n}")
+    _check_n(desc.id, n, desc.min_n)
     if field is ExactArith:
         params = {k: Fraction(v) for k, v in params.items()}
-    try:
-        env = desc.env(params, field)
-        lhs = desc.lhs(env, params, n)
-        rhs = desc.rhs(env, params, n)
-    except (ZeroDivisionError, ZeroArgument) as exc:
-        # a pinned zero in a theta-family argument: a * q / b at b = 0, or
-        # theta(0; p) at a = 0
-        raise DomainRejected(str(exc)) from exc
-    return lhs, rhs
+    env = desc.env(params, field)
+    return desc.lhs(env, params, n), desc.rhs(env, params, n)
 
 
 def _metrics_numeric(lv, rv) -> tuple[float, float]:
@@ -967,7 +974,23 @@ def _exact_mode(desc: IdentityDescriptor) -> str:
     raise ModeUnsupported(f"{desc.id} has no exact mode")
 
 
-def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
+def _verify(ident: str, mode: str, n: int, params: dict, tol: float,
+            trial: Optional[int], sides: Callable) -> VerificationResult:
+    """The one verification tail: checks tol, compares the (lhs, rhs) pairs
+    that sides(field) gives in FIELDS[mode] and records the result."""
+    _check_tol(tol)
+    field = FIELDS[mode]
+    try:
+        pairs = sides(field)
+    except (ZeroDivisionError, ZeroArgument) as exc:
+        # a pinned zero in a theta-family argument: a * q / b at b = 0, or
+        # theta(0; p) at a = 0
+        raise DomainRejected(str(exc)) from exc
+    return VerificationResult(ident, mode, n, *_compare(pairs, field, tol),
+                              dict(params), trial)
+
+
+def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = DEFAULT_TOL,
              trial: Optional[int] = None) -> VerificationResult:
     """Evaluate both sides of an identity independently and compare.
 
@@ -975,7 +998,8 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
     is at most tol; exact modes require exact equality.  An exact-q result's
     lhs and rhs are the cross products lhs.num * rhs.den and rhs.num * lhs.den
     (eval_exact returns the RationalFn sides themselves).  A non-finite
-    parameter raises ValueError naming it.
+    parameter, a tol outside (0, 1) and an n below the identity's least n
+    raise ValueError; a draw at a pole raises DomainRejected.
     """
     desc = get_identity(ident)
     infinite = [f"{name}={v}" for name, v in params.items()
@@ -986,18 +1010,17 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = 1e-8,
         mode = MODE_NUMERIC
     if not desc.supports(mode):
         raise ModeUnsupported(f"{desc.id} does not support mode {mode!r}")
-
-    field = FIELDS[mode]
-    return VerificationResult(desc.id, mode, n,
-                              *_compare([_eval_sides(desc, params, n, field)], field, tol),
-                              dict(params), trial)
+    return _verify(desc.id, mode, n, params, tol, trial,
+                   lambda field: [_eval_sides(desc, params, n, field)])
 
 
 def eval_exact(ident, n: int, int_params: dict | None = None) -> tuple[RationalFn, RationalFn]:
     """Both sides of an exact-capable identity as RationalFn values.
 
     `ident` is an identity id or descriptor from the catalog; the caller
-    compares the returned pair (RationalFn equality cross-multiplies).
+    compares the returned pair (RationalFn equality cross-multiplies).  No
+    _verify is needed: an exact field has no theta and divides only through
+    den or qn_den, so no ZeroArgument or ZeroDivisionError can arise.
     """
     desc = get_identity(ident)
     mode = _exact_mode(desc)
@@ -1199,29 +1222,20 @@ def get_edge(parent_id: str, child_id: str) -> DegenerationEdge:
 
 
 def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
-                       mode: str = MODE_NUMERIC, tol: float = 1e-10,
+                       mode: str = MODE_NUMERIC, tol: float = EDGE_TOL,
                        trial: Optional[int] = None) -> VerificationResult:
     """Check a registered degeneration edge at the child's parameters.
 
     Evaluates the parent in its specialized closed form (with the edge's
     normalization) and the child directly, and asserts that the two LHS
-    values and the two RHS values agree.
+    values and the two RHS values agree.  A bad tol or n raises ValueError.
     """
     edge = get_edge(parent_id, child_id)
     child = get_identity(child_id)
     ident = f"{parent_id}->{child_id}"
-    if n < edge.min_n:
-        raise DomainRejected(f"edge {ident} needs n >= {edge.min_n}")
-
-    field = FIELDS[mode]
-    if field is not ScaledArith and not edge.exact_ok:
+    _check_n(ident, n, edge.min_n)
+    if mode != MODE_NUMERIC and not edge.exact_ok:
         raise ModeUnsupported(f"edge {ident} supports only numeric checking")
-
-    try:
-        p_lhs, p_rhs = edge.parent_sides(params, n, field)
-    except (ZeroDivisionError, ZeroArgument) as exc:
-        raise DomainRejected(str(exc)) from exc
-    c_lhs, c_rhs = _eval_sides(child, params, n, field)
-    return VerificationResult(ident, mode, n,
-                              *_compare([(p_lhs, c_lhs), (p_rhs, c_rhs)], field, tol),
-                              dict(params), trial)
+    # pairs (parent lhs, child lhs) and (parent rhs, child rhs)
+    return _verify(ident, mode, n, params, tol, trial, lambda field: list(zip(
+        edge.parent_sides(params, n, field), _eval_sides(child, params, n, field))))

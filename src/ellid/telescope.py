@@ -52,7 +52,9 @@ class TelescopePair:
 def telescope_both_sides(pair: TelescopePair, n: int):
     """Evaluate both sides of the telescoping identity for 0 <= k <= n.
 
-    Returns (lhs, rhs) in the field of pair.env.  Raises DomainRejected if
+    Returns (lhs, rhs) in the field of pair.env.  The sum takes t_k from
+    pair.t_claim when the pair has one, else u_k - v_k, so a u or v that
+    breaks u_k - v_k = t_k unbalances the sides.  Raises DomainRejected if
     t_0, any of v_1..v_n, or any of u_0..u_{n-1} vanishes: over the double
     field, when its modulus is at most VANISH_TOL times the largest |u_k|,
     |v_k|; over any other field, when it equals the field's zero.
@@ -61,7 +63,8 @@ def telescope_both_sides(pair: TelescopePair, n: int):
         raise ValueError("n must be non-negative")
     us = [pair.u(k) for k in range(n + 1)]
     vs = [pair.v(k) for k in range(n + 1)]
-    t0 = us[0] - vs[0]
+    ts = [pair.t_claim(k) if pair.t_claim else us[k] - vs[k] for k in range(n + 1)]
+    t0 = ts[0]
     one, zero = pair.env.one, pair.env.zero
 
     # a context built over another field still subclasses ScaledArith, so
@@ -87,14 +90,11 @@ def telescope_both_sides(pair: TelescopePair, n: int):
             raise DomainRejected(f"{pair.label}: u_{k} vanishes")
 
     # lhs: running product of u_0..u_{k-1} / v_1..v_k, term (t_k/t_0) * ratio
-    lhs = (us[0] - vs[0]) / t0  # k = 0 term, equals 1
-    ratio = one
+    lhs = ts[0] / t0  # k = 0 term, equals 1
+    ratio = prod = one
     for k in range(1, n + 1):
         ratio = ratio * us[k - 1] / vs[k]
-        lhs = lhs + ((us[k] - vs[k]) / t0) * ratio
-
-    prod = one
-    for k in range(1, n + 1):
+        lhs = lhs + (ts[k] / t0) * ratio
         prod = prod * us[k] / vs[k]
     rhs = (us[0] / t0) * (prod - vs[0] / us[0])
     return lhs, rhs

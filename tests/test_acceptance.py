@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import hashlib
 import json
 import time
 
@@ -211,6 +212,11 @@ def test_criterion_7_section3_suite():
                    f"n <= 10, worst rel_err {worst:.2e} (<= 1e-8), bases distinct")
 
 
+#: sha256 of the seed-42 sweep report without its timings block, as
+#: json.dumps writes it (2 vCPU, Python 3.11.7)
+SWEEP_SEED_42_SHA256 = "6d5ade665c7d766a886d8d15663eff378cb9122244a5a18a215348df6dc9bff6"
+
+
 def test_criterion_8_determinism(tmp_path):
     from ellid.cli import main
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -223,6 +229,11 @@ def test_criterion_8_determinism(tmp_path):
     ok = code1 == 0 and code2 == 0 and json.dumps(a) == json.dumps(b)
     _report(8, ok, f"sweep at seed 42 twice: exit codes ({code1}, {code2}), "
                    f"JSON identical modulo timings ({len(a['results'])} records)")
+    digest = hashlib.sha256(json.dumps(a).encode()).hexdigest()
+    assert digest == SWEEP_SEED_42_SHA256, (
+        f"the seed-42 sweep report changed: sha256 {digest}. A new Python or "
+        "libm (exp, log) changes it too. A change that alters the report on "
+        "purpose updates SWEEP_SEED_42_SHA256 and says why in CHANGES.md.")
 
 
 def test_catalog_end_to_end():

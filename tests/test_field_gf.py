@@ -145,3 +145,8 @@ def test_telescoped_sides_over_gf(tid):
                         pair.v, pair.label, env=pair.env)
     bad_lhs, bad_rhs = telescope_both_sides(bad, 5)
     assert bad_lhs == bad_rhs != rhs and bad.u(2) - bad.v(2) != pair.t_claim(2)
+    # with the claimed t_k kept, the engine sums t_k instead of u_k - v_k,
+    # so the same bad u_2 unbalances the sides
+    claimed = TelescopePair(bad.u, pair.v, pair.label, pair.t_claim, pair.env)
+    claimed_lhs, claimed_rhs = telescope_both_sides(claimed, 5)
+    assert claimed_lhs != claimed_rhs

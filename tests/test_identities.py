@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,42 @@ def test_domain_rejects_poles():
 def test_evaluate_rejects_non_finite_parameters(ident, params, bad):
     with pytest.raises(ValueError, match="parameters must be finite, got " + bad):
         evaluate(ident, params, 3)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0, -1.0, 2.0, float("inf")])
+def test_checks_reject_tol_outside_unit_interval(tol):
+    # run_suite's and `ellid verify`'s rule holds in the library too: at
+    # tol = 2.0 this geo mutant (rel_err 1/3) would pass, and at nan any
+    # check would fail
+    geo = get_identity("geo")
+    bad = dataclasses.replace(geo, rhs=lambda env, p, n: geo.rhs(env, p, n) * 1.5)
+    assert not evaluate(bad, {"q": 0.5}, 3).passed
+    checks = [lambda: evaluate(bad, {"q": 0.5}, 3, tol=tol),
+              lambda: reduce_chain_check("basic-g", "geo", {"q": 0.5}, 3, tol=tol)]
+    for check in checks:
+        with pytest.raises(ValueError, match=re.escape(f"tol must lie in (0, 1), got {tol}")):
+            check()
+
+
+def test_n_below_range_is_a_value_error_with_the_samplers_message():
+    # no redraw can fix n, so it is not DomainRejected; the library and the
+    # sampler state the rule once
+    from ellid.harness import SampleConfig, sample_edge_params, sample_params
+    cfg = SampleConfig(seed=0, trials=1)
+    prm = {"c": 0.5, "q": 0.6, "p": 0.2}
+    cases = [(lambda: evaluate("warnaar-cubes-elliptic", prm, 0),
+              lambda: sample_params("warnaar-cubes-elliptic", cfg, 0, 0),
+              "warnaar-cubes-elliptic needs n >= 1, got 0"),
+             (lambda: reduce_chain_check("e-indef-1", "warnaar-cubes-elliptic", prm, 0),
+              lambda: sample_edge_params("e-indef-1", "warnaar-cubes-elliptic", cfg, 0, 0),
+              "e-indef-1->warnaar-cubes-elliptic needs n >= 1, got 0"),
+             (lambda: eval_exact("geo", -1), lambda: sample_params("geo", cfg, 0, -1),
+              "geo needs n >= 0, got -1")]
+    for library, sampler, message in cases:
+        for check in (library, sampler):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert str(exc.value) == message
 
 
 _THETA_POLE = "denominator theta factor within 1e-06 of zero"
