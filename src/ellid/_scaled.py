@@ -13,6 +13,16 @@ reaches through its environment: one, zero, lift (a number into the field),
 a power, a cancellation-guarded sum and a pole-guarded denominator.  The
 q-provider, the elliptic contexts and the theta environment inherit it.  The pole rule lives here: den and
 guard_factor (for a theta's min |factor|) raise DomainRejected.
+
+The band rule: the constructor keeps a nonzero mantissa whose larger
+component has binary exponent k in [-256, 256] (frexp's k) and otherwise
+moves k into e.  A result whose |m| lies in [2**-256, 2**256) is in band:
+its larger component lies in [2**-256.5, 2**256), so the constructor
+would keep it unchanged.  The arithmetic (products, quotients and sums by
+a ScaledComplex, complex or float), sc, from_exp, ipow and theta_scaled
+build such a result with _mk, which skips the constructor; any other
+result (zero, inf, nan, out of band, a non-complex mantissa) goes through
+it, so the constructor stays the only code that renormalises.
 """
 
 from __future__ import annotations
@@ -38,6 +48,9 @@ COND_LIMIT = 1e5
 _COND_LOG2 = math.log2(COND_LIMIT)
 
 _BAND = 256  # renormalize when the mantissa exponent leaves [-_BAND, _BAND]
+# |m| in [_IN_BAND_LO, _IN_BAND_HI) needs no renormalisation (module docstring)
+_IN_BAND_LO = 2.0 ** -_BAND
+_IN_BAND_HI = 2.0 ** _BAND
 
 
 def _ldexp_sat(x: float, e: int) -> float:
@@ -74,7 +87,7 @@ class ScaledComplex:
         """exp(w) for w with arbitrarily large real part."""
         e2 = math.floor(w.real / _LN2)
         frac = (w.real - e2 * _LN2_HI) - e2 * _LN2_LO
-        return ScaledComplex(cmath.exp(complex(frac, w.imag)), e2)
+        return _mk(cmath.exp(complex(frac, w.imag)), e2)
 
     def ipow(self, k: int) -> "ScaledComplex":
         """Integer power with exact handling of the base-2 exponent."""
@@ -90,20 +103,26 @@ class ScaledComplex:
         mt = complex(math.ldexp(self.m.real, -j), math.ldexp(self.m.imag, -j))
         w = cmath.log(mt)
         out = ScaledComplex.from_exp(complex(k * w.real, k * w.imag))
-        return ScaledComplex(out.m, out.e + k * (self.e + j))
+        return _mk(out.m, out.e + k * (self.e + j))
 
     # ---- arithmetic ------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, ScaledComplex):
-            return ScaledComplex(self.m * other.m, self.e + other.e)
+        t = type(other)
+        if t is ScaledComplex:
+            return _mk(self.m * other.m, self.e + other.e)
+        if t is complex or t is float:
+            return _mk(self.m * other, self.e)
         return ScaledComplex(self.m * other, self.e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, ScaledComplex):
-            return ScaledComplex(self.m / other.m, self.e - other.e)
+        t = type(other)
+        if t is ScaledComplex:
+            return _mk(self.m / other.m, self.e - other.e)
+        if t is complex or t is float:
+            return _mk(self.m / other, self.e)
         return ScaledComplex(self.m / other, self.e)
 
     def __rtruediv__(self, other):
@@ -123,16 +142,19 @@ class ScaledComplex:
         if self.m == 0:
             return other
         d = self.e - other.e
+        if d == 0:
+            # the d > 0 branch below at d = 0, since ldexp(x, 0) is x
+            return _mk(self.m + other.m, self.e)
         if d >= 1100:
             return self
         if d <= -1100:
             return other
-        if d >= 0:
-            return ScaledComplex(
+        if d > 0:
+            return _mk(
                 self.m + complex(math.ldexp(other.m.real, -d), math.ldexp(other.m.imag, -d)),
                 self.e,
             )
-        return ScaledComplex(
+        return _mk(
             other.m + complex(math.ldexp(self.m.real, d), math.ldexp(self.m.imag, d)),
             other.e,
         )
@@ -176,13 +198,29 @@ class ScaledComplex:
 
 ZERO = ScaledComplex(0j)
 ONE = ScaledComplex(1.0 + 0j)
+_new = object.__new__
+
+
+def _mk(m, e: int) -> ScaledComplex:
+    """ScaledComplex(m, e), without the constructor when m is in band."""
+    if type(m) is complex:
+        try:
+            r = abs(m)
+        except OverflowError:
+            return ScaledComplex(m, e)
+        if _IN_BAND_LO <= r < _IN_BAND_HI:
+            out = _new(ScaledComplex)
+            out.m = m
+            out.e = e
+            return out
+    return ScaledComplex(m, e)
 
 
 def sc(z) -> ScaledComplex:
     """Coerce a number to ScaledComplex."""
     if isinstance(z, ScaledComplex):
         return z
-    return ScaledComplex(complex(z))
+    return _mk(complex(z), 0)
 
 
 def exact_key(z) -> tuple:

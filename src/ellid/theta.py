@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._scaled import ONE, ScaledComplex, exact_key, guard_factor, sc
+from ._scaled import ONE, ScaledComplex, _mk, exact_key, guard_factor, sc
 from .errors import TruncationNotConverged, ZeroArgument
 
 #: the tail bound a truncated theta product must meet
@@ -166,7 +166,7 @@ def theta_scaled(a, p: complex) -> tuple[ScaledComplex, float]:
     for pj in pjs[1:terms]:
         prod *= (1.0 - an * pj) * (1.0 - inv * pj)
 
-    out = ScaledComplex(prod)
+    out = _mk(prod, 0)
     if pref is not None:
         out = out * pref
     return out, minfac

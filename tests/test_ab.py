@@ -45,3 +45,22 @@ def test_compare_needs_the_quartile_rule_and_nine_tenths():
     c = ab.compare([100.0] * 10, [101.0] * 8 + [99.0] * 2, "higher")
     assert (c["head_wins"], c["head_losses"]) == (8, 2) and not c["gain"]
     assert c["median_ratio"] == pytest.approx(1.01)
+
+
+def test_count_differences_on_fixed_layers():
+    names = ("theta.calls", "scaled.mul.calls", "harness.report.bytes")
+    base = {"theta.calls": 12657, "scaled.mul.calls": 210000,
+            "harness.report.bytes": 0, "theta.us_per_call": 18.8}
+    same = dict(base, **{"theta.us_per_call": 12.1})  # a time may move
+    assert ab.count_differences(base, same, names) == []
+    moved = dict(same, **{"scaled.mul.calls": 210001})
+    assert ab.count_differences(base, moved, names) == [
+        "scaled.mul.calls: base 210000, head 210001"]
+    assert ab.count_differences(base, {}, names[:1]) == ["theta.calls: base 12657, head None"]
+
+
+def test_deterministic_names_come_from_the_checkout():
+    names = ab.deterministic_names(str(TOOL.parent.parent))
+    assert {"theta.calls", "scaled.mul.calls", "scaled.add.calls",
+            "scaled.ipow.calls"} <= set(names)
+    assert "theta.us_per_call" not in names

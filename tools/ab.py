@@ -10,14 +10,19 @@ count for neither side), the two-sided sign-test p-value of those wins,
 each side's median and quartiles, and the drift of the base from its first
 run to its last.  A gain is claimed when the head wins at least nine tenths
 of the pairs and the medians differ by more than the base's interquartile
-range.  --out writes these numbers and every run's metrics as JSON; the
-last line of stdout is a JSON summary.  Exits 1 when a run reports a failed
-check, 2 when a run gives no result.
+range.  After the timed pairs it runs the workload once traced
+(`--trace 1`, the fewest jobs run.py allows) on each side and prints every
+per-layer count named in the base's perfbench/tracing.py DETERMINISTIC
+that differs between the sides, or "deterministic counts identical".
+--out writes these numbers, every run's metrics and both traced runs'
+per-layer metrics as JSON; the last line of stdout is a JSON summary.
+Exits 1 when a run reports a failed check, 2 when a run gives no result.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -64,9 +69,25 @@ def compare(base: list[float], head: list[float], better: str) -> dict:
     }
 
 
-def run_once(checkout: str, workload: str, seconds) -> dict:
-    """One untraced benchmark run in checkout: its final JSON line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
+def count_differences(base: dict, head: dict, names) -> list[str]:
+    """One line per count in names whose per-layer value differs."""
+    return [f"{k}: base {base.get(k)}, head {head.get(k)}"
+            for k in names if base.get(k) != head.get(k)]
+
+
+def deterministic_names(checkout: str) -> tuple:
+    """The DETERMINISTIC counts of checkout's perfbench/tracing.py."""
+    path = os.path.join(checkout, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_ab_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.DETERMINISTIC
+
+
+def run_once(checkout: str, workload: str, seconds, trace: int = 0) -> dict:
+    """One benchmark run in checkout: its final JSON line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--trace", str(trace)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -117,15 +138,28 @@ def main(argv=None) -> int:
               f"{c['head_quartiles'][1]:.4g}]; base drift {c['base_drift']:.3f}"
               f"{'; gain' if c['gain'] else ''}")
 
-    correct = all(r["correct"] for side in runs.values() for r in side)
+    # a run shorter than any job stops after run.py's minimum of jobs
+    traced_runs = {side: run_once(getattr(args, side), args.workload, 1e-3, trace=1)
+                   for side in ("base", "head")}
+    traced = {side: {k: v["value"] for k, v in r["metrics"].items()}
+              for side, r in traced_runs.items()}
+    count_diffs = count_differences(traced["base"], traced["head"],
+                                    deterministic_names(args.base))
+    for line in count_diffs or ["deterministic counts identical"]:
+        print(f"{args.workload} {line}")
+
+    correct = all(r["correct"] for side in runs.values() for r in side) and all(
+        r["correct"] for r in traced_runs.values())
     out = {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
            "first_in_pair": first, "correct": correct,
            "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
-           "metrics": metrics, "runs": runs}
+           "count_differences": count_diffs,
+           "metrics": metrics, "runs": runs, "traced": traced}
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(out, fh, indent=1)
-    print(json.dumps({k: out[k] for k in ("workload", "pairs", "correct", "failed")}
+    print(json.dumps({k: out[k] for k in ("workload", "pairs", "correct", "failed",
+                                          "count_differences")}
                      | {"median_ratio": {k: v["median_ratio"] for k, v in metrics.items()}}))
     return 0 if correct else 1
 
