@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import os
 import sys
 import time
@@ -23,7 +22,7 @@ from .errors import (DomainRejected, EllidError, ResamplingExhausted,
                      TruncationNotConverged)
 from .harness import (THETA_CONFIG, SampleConfig, SuiteReport, result_record,
                       run_suite, _sampled_check)
-from .identities import (DEFAULT_TOL, INT_MIN, MODE_EXACT_Q, MODE_EXACT_RATIONAL,
+from .identities import (DEFAULT_TOL, MODE_EXACT_Q, MODE_EXACT_RATIONAL,
                          _check_tol, _exact_mode, catalog, evaluate, get_identity)
 
 
@@ -49,19 +48,18 @@ def _parse_param(text: str) -> tuple[str, complex]:
             f"expected name=re[,im], got {text!r}")
 
 
-def _pinned_params(desc, fixed: dict, mode: str) -> dict:
-    """Pinned values checked against the identity's signature.
+def _pinned_params(desc, pairs: list, mode: str) -> dict:
+    """The --param (name, value) pairs, each name once, as the check's values.
 
-    Exact mode pins every parameter but q, as integers; in numeric mode the
-    integer-kind parameters (m) must be integers too, at least the least
-    value of their kind.  Every pinned value must be finite, a pinned nome p
-    needs |p| < 1 and a pinned base q must be nonzero.
+    Every value must be finite, a pinned nome p needs |p| < 1 and a pinned
+    base q must be nonzero; exact mode pins integers and never q, and numeric
+    mode makes m an int.  The check itself applies the parameter rule.
     """
-    kinds = dict(desc.param_signature)
-    unknown = [name for name in fixed if name not in kinds]
-    if unknown:
-        raise ValueError(f"{desc.id} has no parameter {', '.join(unknown)} "
-                         f"(its parameters: {' '.join(kinds) or 'none'})")
+    fixed = dict(pairs)
+    if len(fixed) < len(pairs):
+        names = [name for name, _ in pairs]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError(f"--param pins {', '.join(repeated)} more than once")
     infinite = [f"{name}={v}" for name, v in fixed.items() if not cmath.isfinite(v)]
     if infinite:
         raise ValueError(f"pinned values must be finite, got {' '.join(infinite)}")
@@ -70,20 +68,15 @@ def _pinned_params(desc, fixed: dict, mode: str) -> dict:
     if fixed.get("q") == 0:
         raise ValueError("the base q must be nonzero")
     exact = mode in (MODE_EXACT_Q, MODE_EXACT_RATIONAL)
-    if exact:
-        if "q" in fixed:
-            raise ValueError("q is the indeterminate in exact-q mode and cannot be pinned")
-        missing = [name for name in kinds if name != "q" and name not in fixed]
-        if missing:
-            raise ValueError(f"exact mode needs every parameter of {desc.id} "
-                             f"pinned; missing {', '.join(missing)}")
+    if exact and "q" in fixed:
+        raise ValueError("q is the indeterminate in exact-q mode and cannot be pinned")
+    kinds = dict(desc.param_signature)
     prm = {}
     for name, v in fixed.items():
-        kind = kinds[name]
+        kind = kinds.get(name, "complex")
         if not exact and kind == "complex":
             prm[name] = v
-        elif (v.imag != 0 or not v.real.is_integer()
-              or v.real < INT_MIN.get(kind, -math.inf)):
+        elif v.imag != 0 or not v.real.is_integer():
             need = ("exact mode needs integer parameters" if exact
                     else f"{desc.id} needs {name} of kind {kind}")
             raise ValueError(f"{need}, got {name}={v}")
@@ -134,7 +127,7 @@ def _cmd_verify(args) -> int:
     cfg = SampleConfig(seed=seed, trials=args.trials)
 
     mode = _exact_mode(desc) if args.mode == "exact" else "auto"
-    fixed = _pinned_params(desc, dict(args.param), mode)
+    fixed = _pinned_params(desc, args.param, mode)
 
     pinned = " ".join(f"{name}={v}" for name, v in fixed.items())
     t0 = time.monotonic()

@@ -37,10 +37,10 @@ closed form needs q != 0 and ABQCtx needs b != 0 (it divides by b); a
 violation raises ValueError.  Each denominator factor 1 - x goes through den, each
 denominator theta through theta_den.
 
-ThetaEnv, the double theta environment, memoises theta for its lifetime,
-QEnv memoises qpow, and FullEllipticCtx (both of them) memoises num and
-wt; each memo is keyed by _scaled.exact_key of the arguments, so a hit is
-bit for bit what a fresh call returns.  The identity path builds one
+ThetaEnv (of `theta`) memoises theta and its nomes' records, QEnv memoises
+qpow, and FullEllipticCtx (both of them) memoises num and wt; each memo is
+keyed by _scaled.exact_key of the arguments, so a hit is bit for bit what a
+fresh call returns.  The identity path builds one
 environment per check, which both sides share.  A parameter shift
 a -> a q^(2s), b -> b q^s is the s argument of num and wt; every power of
 q, q^s included, is computed by qpow.
@@ -48,40 +48,8 @@ q, q^s included, is computed by qpow.
 
 from __future__ import annotations
 
-from ._scaled import ScaledArith, exact_key, guard_factor
-from .theta import theta_scaled
-
-
-class ThetaEnv(ScaledArith):
-    """ScaledArith plus theta and theta_den, memoised for the environment's lifetime.
-
-    The memo is keyed by exact_key of the argument and of the nome (a
-    theta-family environment is asked at p, p^2 and 0), so a hit is the
-    value a fresh call would give, signed zeros included.  theta_scaled is
-    looked up at call time, so a wrapper installed on that module global
-    sees every call.
-    """
-
-    def __init__(self):
-        self._theta = {}
-
-    def _theta_of(self, x, p):
-        x = self.lift(x)
-        key = (exact_key(x), exact_key(p))
-        hit = self._theta.get(key)
-        if hit is None:
-            hit = self._theta[key] = theta_scaled(x, p)
-        return hit
-
-    def theta(self, x, p):
-        """theta(x; p)."""
-        return self._theta_of(x, p)[0]
-
-    def theta_den(self, x, p):
-        """theta(x; p) for a denominator: DomainRejected near one of its zeros."""
-        val, minfac = self._theta_of(x, p)
-        guard_factor(minfac)
-        return val
+from ._scaled import ScaledArith, exact_key
+from .theta import ThetaEnv
 
 
 class QEnv(ScaledArith):

@@ -136,6 +136,8 @@ def _draw_params(rng: _CounterRng, signature, fixed: dict | None = None) -> dict
             prm[name] = rng.randint(INT_MIN[kind], 3)
         else:
             prm[name] = _draw_box(rng)
+    # a fixed name outside the signature stays, so the check's parameter rule names it
+    prm.update(fixed)
     return prm
 
 
@@ -182,7 +184,7 @@ def sample_params(ident, cfg: SampleConfig, trial_index: int, n: int = 4,
     admissible when the numeric check at DEFAULT_TOL does not reject it
     (raise DomainRejected).  The suite runner and `ellid verify` report the
     evaluation that accepted the draw instead of evaluating these parameters
-    again.  A non-finite fixed value raises ValueError naming it.
+    again.  A fixed name or value that evaluate's rule rejects raises ValueError.
     """
     return _sampled_check(ident, cfg, trial_index, n, DEFAULT_TOL, fixed).params
 

@@ -25,10 +25,10 @@ the q-provider adds qn, qn_den and qpow, a context num and wt, and the theta
 environment theta(x, p) and theta_den(x, p), both returning theta's value;
 theta_den, for a denominator, first rejects a draw whose smallest theta
 factor lies within POLE_TOL of zero.  Running shifted factorials are built
-from these two by stepping a _Slot.  The double-precision arithmetic is
-_scaled.ScaledArith, whose sum also rejects a draw that cancels beyond
+from these two by stepping a theta._Slot.  The double-precision arithmetic
+is _scaled.ScaledArith, whose sum also rejects a draw that cancels beyond
 COND_LIMIT and whose lift(x) brings a parameter into the field; the theta
-environment ThetaEnv lives in `elliptic` (re-exported here), and the exact
+environment ThetaEnv lives in `theta` (re-exported here), and the exact
 modes use qexact.ExactArith and ExactQ.  A builder env(params, field) takes
 the field, an arithmetic class (FIELDS maps each mode to one), and lists any
 other field first over its environment's class; since NumericQ and the
@@ -57,10 +57,11 @@ from typing import Callable, Optional
 
 from ._scaled import ScaledArith, sc
 from .elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx,
-                       QCtx, QEnv, QInvCtx, ThetaEnv)
+                       QCtx, QEnv, QInvCtx)
 from .errors import (DomainRejected, ModeUnsupported, UnknownEdge, UnknownIdentity,
                      ZeroArgument)
 from .qexact import ExactArith, ExactQ, RationalFn
+from .theta import ThetaEnv, _fact, _Slot
 
 MODE_NUMERIC = "numeric-elliptic"
 MODE_EXACT_Q = "exact-q"
@@ -441,33 +442,6 @@ def _bigid_rhs(ctx, prm, n):
 # ---------------------------------------------------------------------------
 # theta-factorial identities (indefinite summations over running slots)
 # ---------------------------------------------------------------------------
-
-class _Slot:
-    """Running shifted factorial (x; base, p)_k, advanced one index at a time."""
-
-    __slots__ = ("env", "arg", "base", "p", "val", "guard")
-
-    def __init__(self, env, x, base, p, guard: bool = False):
-        self.env = env
-        self.arg = env.zero + x  # x in the environment's number type
-        self.base = base
-        self.p = p
-        self.val = env.one
-        self.guard = guard
-
-    def step(self):
-        theta = self.env.theta_den if self.guard else self.env.theta
-        self.val = self.val * theta(self.arg, self.p)
-        self.arg = self.arg * self.base
-
-
-def _fact(env, x, base, p, k: int, guard: bool = False):
-    """(x; base, p)_k: a _Slot stepped k times (an empty product for k <= 0)."""
-    slot = _Slot(env, x, base, p, guard)
-    for _ in range(k):
-        slot.step()
-    return slot.val
-
 
 def _slot_sum(env, p, ks, tops, den0, nums, dens, weight):
     """Sum over k in ks of prod theta(tops) / den0 * prod nums / prod dens * weight(k).
@@ -919,17 +893,43 @@ def _check_n(ident: str, n: int, min_n: int) -> None:
         raise ValueError(f"{ident} needs n >= {min_n}, got {n}")
 
 
+def _check_kind(ident: str, name: str, kind: str, v) -> None:
+    """A value of a parameter kind: finite, and an int >= INT_MIN for an integer kind."""
+    if kind == _CPX:
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            raise ValueError(f"parameters must be finite, got {name}={v}")
+    elif type(v) is not int or v < INT_MIN[kind]:
+        raise ValueError(f"{ident} needs {name} of kind {kind}, got {name} = {v!r}")
+
+
+def _check_params(desc: IdentityDescriptor, params: dict, exact: bool) -> None:
+    """The parameter rule of every check, in one pass over params: the names
+    are the signature's (an exact mode may omit q, its indeterminate), and
+    each value meets _check_kind; a violation raises ValueError naming it."""
+    kinds = dict(desc.param_signature)
+    for name, v in params.items():
+        if name not in kinds:
+            raise ValueError(f"{desc.id} has no parameter {name}")
+        _check_kind(desc.id, name, kinds[name], v)
+    if len(params) != len(kinds):
+        missing = [name for name in kinds
+                   if name not in params and not (exact and name == "q")]
+        if missing:
+            raise ValueError(f"{desc.id} is missing {', '.join(missing)}")
+
+
 def _eval_sides(desc: IdentityDescriptor, params: dict, n: int, field=ScaledArith):
     """Raw (lhs, rhs) values in field; a pole raises DomainRejected.
 
-    Over ExactArith the parameters are first made Fractions.  Both sides
-    evaluate over one environment, built once per check: the sides are
-    independent formulas, and what they share are the memos of theta, q^z
-    and a full-elliptic context's num/wt, each keyed by _scaled.exact_key,
-    so a value one side memoised is bit for bit what the other would
-    compute afresh.
+    The parameters must meet _check_params; over ExactArith they are then
+    made Fractions.  Both sides evaluate over one environment, built once
+    per check: the sides are independent formulas, and what they share are
+    the memos of theta, q^z and a full-elliptic context's num/wt, each keyed
+    by _scaled.exact_key, so a value one side memoised is bit for bit what
+    the other would compute afresh.
     """
     _check_n(desc.id, n, desc.min_n)
+    _check_params(desc, params, field is not ScaledArith)
     if field is ExactArith:
         params = {k: Fraction(v) for k, v in params.items()}
     env = desc.env(params, field)
@@ -997,15 +997,11 @@ def evaluate(ident, params: dict, n: int, mode: str = "auto", tol: float = DEFAU
     Numeric mode ("auto") passes when rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1)
     is at most tol; exact modes require exact equality.  An exact-q result's
     lhs and rhs are the cross products lhs.num * rhs.den and rhs.num * lhs.den
-    (eval_exact returns the RationalFn sides themselves).  A non-finite
-    parameter, a tol outside (0, 1) and an n below the identity's least n
-    raise ValueError; a draw at a pole raises DomainRejected.
+    (eval_exact returns the RationalFn sides themselves).  Parameters that
+    _check_params rejects, a tol outside (0, 1) and an n below the
+    identity's least n raise ValueError; a draw at a pole raises DomainRejected.
     """
     desc = get_identity(ident)
-    infinite = [f"{name}={v}" for name, v in params.items()
-                if isinstance(v, (float, complex)) and not cmath.isfinite(v)]
-    if infinite:
-        raise ValueError(f"parameters must be finite, got {' '.join(infinite)}")
     if mode == "auto":
         mode = MODE_NUMERIC
     if not desc.supports(mode):
@@ -1228,7 +1224,8 @@ def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
 
     Evaluates the parent in its specialized closed form (with the edge's
     normalization) and the child directly, and asserts that the two LHS
-    values and the two RHS values agree.  A bad tol or n raises ValueError.
+    values and the two RHS values agree.  A bad tol or n, or parameters
+    the child's _check_params rejects, raise ValueError.
     """
     edge = get_edge(parent_id, child_id)
     child = get_identity(child_id)
@@ -1236,6 +1233,8 @@ def reduce_chain_check(parent_id: str, child_id: str, params: dict, n: int,
     _check_n(ident, n, edge.min_n)
     if mode != MODE_NUMERIC and not edge.exact_ok:
         raise ModeUnsupported(f"edge {ident} supports only numeric checking")
+    # before the parent's limit form reads them
+    _check_params(child, params, mode != MODE_NUMERIC)
     # pairs (parent lhs, child lhs) and (parent rhs, child rhs)
     return _verify(ident, mode, n, params, tol, trial, lambda field: list(zip(
         edge.parent_sides(params, n, field), _eval_sides(child, params, n, field))))

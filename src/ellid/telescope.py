@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from ._scaled import ZERO, ScaledArith
 from .errors import DomainRejected, UnknownTheorem
-from .identities import INT_MIN, get_identity
+from .identities import _check_kind, get_identity
 
 VANISH_TOL = 1e-12  # a double vanishes at |x| <= VANISH_TOL * max |u_k|, |v_k|
 
@@ -103,9 +103,7 @@ def telescope_both_sides(pair: TelescopePair, n: int):
 def _m(theorem_id: str, extra: dict) -> int:
     """extra["m"], an int no less than the least value of its catalog kind."""
     m = extra["m"]
-    least = INT_MIN[dict(get_identity(theorem_id).param_signature)["m"]]
-    if type(m) is not int or m < least:
-        raise ValueError(f"{theorem_id} needs an integer m >= {least}, got m = {m!r}")
+    _check_kind(theorem_id, "m", dict(get_identity(theorem_id).param_signature)["m"], m)
     return m
 
 

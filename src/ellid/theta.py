@@ -26,14 +26,13 @@ so the truncation rule always applies to a well-conditioned argument; this is
 what keeps the astronomically large or small arguments produced by the
 identity evaluators exact-to-tolerance without extending the product.
 
-What depends on the nome alone is computed once per nome: |p|, log2|p|,
-the powers sc(p).ipow(k) of the reduction and the list 1, p, p^2, ... that
-the product multiplies in.  A private cache keeps these for the last
-NOME_SLOTS nomes, keyed by _scaled.exact_key(p), the exact bits of p
-(signed zeros included, since the logarithm inside ipow puts
-complex(-0.3, 0.0) and complex(-0.3, -0.0) on either side of its branch
-cut); it is empty until the first call, and every cached value is bit
-for bit what a fresh computation gives.
+What depends on the nome alone is a _Nome record: |p|, log2|p|, the
+powers sc(p).ipow(k) of the reduction and the list 1, p, p^2, ... that the
+product multiplies in.  ThetaEnv, the double theta environment, keeps one
+record per nome, keyed by _scaled.exact_key(p) (signed zeros included: the
+logarithm inside ipow puts complex(-0.3, 0.0) and complex(-0.3, -0.0) on
+either side of its branch cut); a plain nome gets a fresh record.  Running
+shifted factorials step a _Slot over such an environment.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._scaled import ONE, ScaledComplex, _mk, exact_key, guard_factor, sc
+from ._scaled import ONE, ScaledArith, ScaledComplex, _mk, exact_key, guard_factor, sc
 from .errors import TruncationNotConverged, ZeroArgument
 
 #: the tail bound a truncated theta product must meet
@@ -50,12 +49,6 @@ TAIL_TOL = 1e-14
 #: needs at most 50 and a pinned |p| = 0.9 at most 341, while |p| = 0.95
 #: needs 714 and raises
 MAX_TERMS = 512
-#: most nomes whose powers the cache keeps: a theta-family side asks at p
-#: and p^2, and a sampled sweep brings a new nome with every draw
-NOME_SLOTS = 8
-
-# the nome cache: exact_key(p) -> _Nome, emptied when full
-_nomes: dict = {}
 
 
 def truncation_terms(aa: float, pa: float) -> int:
@@ -101,25 +94,20 @@ class _Nome:
 
 
 def _nome(p) -> _Nome:
-    """The cached record of a nome 0 < |p| < 1; ValueError for |p| >= 1."""
-    key = exact_key(p)
-    nome = _nomes.get(key)
-    if nome is None:
-        pa = abs(p)
-        if not pa < 1.0:
-            raise ValueError(f"nome must satisfy |p| < 1, got |p| = {pa}")
-        if len(_nomes) >= NOME_SLOTS:
-            _nomes.clear()
-        nome = _nomes[key] = _Nome(p, pa)
-    return nome
+    """A fresh record of a nome 0 < |p| < 1; ValueError for |p| >= 1."""
+    pa = abs(p)
+    if not pa < 1.0:
+        raise ValueError(f"nome must satisfy |p| < 1, got |p| = {pa}")
+    return _Nome(p, pa)
 
 
-def theta_scaled(a, p: complex) -> tuple[ScaledComplex, float]:
+def theta_scaled(a, p) -> tuple[ScaledComplex, float]:
     """theta(a; p) in scaled form, plus a bound on its nearness to a zero.
 
-    Accepts a as complex or ScaledComplex of any magnitude; a non-finite a
-    raises ValueError, and so does a nome with |p| >= 1 (the product does
-    not converge).  The second value, minfac, is the smaller modulus of
+    Accepts a as complex or ScaledComplex of any magnitude, and p as a
+    nome or a nonzero nome's _Nome record; a non-finite a raises
+    ValueError, and so does a nome with |p| >= 1 (the product does not
+    converge).  The second value, minfac, is the smaller modulus of
     the two j = 0 factors 1 - a' and 1 - p/a' of the reduced argument a'.
     Since |p| < |a'| <= 1, every other factor has modulus at least
     1 - |p|, which exceeds 0.06 for any nome that MAX_TERMS admits (it
@@ -135,7 +123,7 @@ def theta_scaled(a, p: complex) -> tuple[ScaledComplex, float]:
         # needs a != 0, which the p != 0 branch enforces
         val = ONE - a
         return val, abs(val)
-    nome = _nome(p)
+    nome = p if type(p) is _Nome else _nome(p)
     if a.is_zero():
         raise ZeroArgument("theta argument must be nonzero")
 
@@ -157,7 +145,7 @@ def theta_scaled(a, p: complex) -> tuple[ScaledComplex, float]:
             f"> MAX_TERMS = {MAX_TERMS}")
 
     pjs = nome.powers(terms)
-    inv = p / an
+    inv = nome.p / an
     f1 = 1.0 - an * pjs[0]
     f2 = 1.0 - inv * pjs[0]
     minfac = min(abs(f1), abs(f2))
@@ -189,37 +177,83 @@ def theta_prod(args, p: complex) -> complex:
     return out.to_complex()
 
 
-def factorial_scaled(a, base: complex, p: complex, k: int) -> tuple[ScaledComplex, float]:
-    """Scaled theta shifted factorial (a; base, p)_k with min-factor tracking.
+class ThetaEnv(ScaledArith):
+    """ScaledArith plus theta and theta_den, memoised for the environment's lifetime.
 
-    For k < 0 the standard reciprocal convention applies; a reciprocal factor
-    within _scaled.POLE_TOL of zero (or exactly zero) raises DomainRejected.
+    The memo and the _Nome records are keyed by exact_key of the argument
+    and the nome (asked at p, p^2 and 0), so a hit is what a fresh call
+    gives.  theta_scaled is looked up at call time, so a wrapper installed
+    on that module global sees every call.
     """
-    minfac = math.inf
-    out = ONE
-    arg = sc(a)
-    if k >= 0:
-        for _ in range(k):
-            val, mf = theta_scaled(arg, p)
-            if mf < minfac:
-                minfac = mf
-            out = out * val
-            arg = arg * base
-    else:
-        for _ in range(-k):
-            arg = arg / base
-            val, mf = theta_scaled(arg, p)
-            if mf < minfac:
-                minfac = mf
-            out = out * val
+
+    def __init__(self):
+        self._theta = {}
+        self._records = {}
+
+    def _record(self, p, key):
+        """What theta_scaled is passed for p: its record, built once; p itself at p = 0."""
+        rec = self._records.get(key)
+        if rec is None and p != 0:
+            rec = self._records[key] = _nome(p)
+        return rec or p
+
+    def _theta_of(self, x, p):
+        x = self.lift(x)
+        kp = exact_key(p)
+        key = (exact_key(x), kp)
+        hit = self._theta.get(key)
+        if hit is None:
+            hit = self._theta[key] = theta_scaled(x, self._record(p, kp))
+        return hit
+
+    def theta(self, x, p):
+        """theta(x; p)."""
+        return self._theta_of(x, p)[0]
+
+    def theta_den(self, x, p):
+        """theta(x; p) for a denominator: DomainRejected near one of its zeros."""
+        val, minfac = self._theta_of(x, p)
         guard_factor(minfac)
-        out = ONE / out
-    return out, minfac
+        return val
+
+
+class _Slot:
+    """Running shifted factorial (x; base, p)_k, advanced one index at a time."""
+
+    __slots__ = ("env", "arg", "base", "p", "val", "guard")
+
+    def __init__(self, env, x, base, p, guard: bool = False):
+        self.env = env
+        self.arg = env.zero + x  # x in the environment's number type
+        self.base = base
+        self.p = p
+        self.val = env.one
+        self.guard = guard
+
+    def step(self):
+        theta = self.env.theta_den if self.guard else self.env.theta
+        self.val = self.val * theta(self.arg, self.p)
+        self.arg = self.arg * self.base
+
+
+def _fact(env, x, base, p, k: int, guard: bool = False):
+    """(x; base, p)_k: a _Slot stepped k times (an empty product for k <= 0)."""
+    slot = _Slot(env, x, base, p, guard)
+    for _ in range(k):
+        slot.step()
+    return slot.val
+
+
+def factorial_scaled(a, base: complex, p: complex, k: int) -> ScaledComplex:
+    """(a; base, p)_k over a fresh ThetaEnv; for k < 0, 1 / (a/base; 1/base, p)_{-k},
+    whose factors are guarded (DomainRejected within _scaled.POLE_TOL of zero)."""
+    if k >= 0:
+        return _fact(ThetaEnv(), a, base, p, k)
+    return ONE / _fact(ThetaEnv(), a / base, 1 / base, p, -k, guard=True)
 
 
 def shifted_factorial(a: complex, base: complex, p: complex, k: int) -> complex:
     """Theta shifted factorial (a; base, p)_k along a, a*base, a*base^2, ..."""
     if base == 0:
         raise ValueError("factorial base must be nonzero")
-    val, _ = factorial_scaled(a, base, p, k)
-    return val.to_complex()
+    return factorial_scaled(a, base, p, k).to_complex()

@@ -162,6 +162,9 @@ def test_sweep_small(tmp_path, capsys):
     (["--id", "spc-2", "--n", "3", "--mode", "exact", "--param", "c=1",
       "--param", "d=1", "--param", "g=0", "--param", "h=0"],
      "pinned c=1 d=1 g=0 h=0 is a pole of spc-2: [0]_q denominator"),
+    # a name pinned twice would keep only its last value
+    (["--id", "geo", "--n", "2", "--param", "q=0.5", "--param", "q=0.6"],
+     "--param pins q more than once"),
 ])
 def test_verify_pinned_params_checked_against_signature(argv, message, capsys):
     assert main(["verify", *argv]) == 2

@@ -49,6 +49,13 @@ def test_sample_params_rejects_non_finite_fixed_values():
         sample_params("tel-c", cfg, 0, 3, fixed={"b": float("inf")})
 
 
+def test_sample_params_rejects_fixed_names_outside_the_signature():
+    # the draw covers the signature alone, so zz would be dropped unchecked
+    cfg = SampleConfig(seed=5, trials=1)
+    with pytest.raises(ValueError, match="geo has no parameter zz"):
+        sample_params("geo", cfg, 0, 3, fixed={"zz": 1})
+
+
 def test_m00_bases_distinct():
     cfg = SampleConfig(seed=2, trials=1)
     prm = sample_params("m00", cfg, 0, 3)
@@ -119,6 +126,19 @@ def test_report_determinism():
     a.pop("timings")
     b.pop("timings")
     assert json.dumps(a) == json.dumps(b)
+
+
+def test_records_do_not_depend_on_identity_order():
+    # each check builds its own environments, so no theta or nome state
+    # crosses from one check to the next, whatever ran before it
+    def records(ids):
+        rep = run_suite(ids, 3, SampleConfig(seed=42, trials=2))
+        return {(r["id"], r["mode"], r["n"], r["trial"]): json.dumps(r)
+                for r in rep.to_dict()["results"]}
+
+    ids = ["tel-c", "e-indef-1", "m00", "bigid"]
+    forward, backward = records(ids), records(ids[::-1])
+    assert forward and forward == backward
 
 
 def test_edge_sampling_deterministic():

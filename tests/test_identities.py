@@ -1,10 +1,10 @@
 import dataclasses
+import importlib
 import re
 from fractions import Fraction
 
 import pytest
 
-import ellid.elliptic
 import ellid.identities
 from ellid._scaled import ZERO, ScaledArith, cpow
 from ellid.elliptic import (ABQCtx, AQCtx, BQCtx, ClassicalCtx, FullEllipticCtx, QCtx,
@@ -17,6 +17,8 @@ from ellid.identities import (MODE_EXACT_Q, MODE_EXACT_RATIONAL, MODE_NUMERIC,
                               evaluate, get_edge, get_identity, reduce_chain_check)
 from ellid.qexact import ExactArith, ExactQ, LaurentPoly, RationalFn, q_number
 from ellid.theta import factorial_scaled, theta_scaled
+
+theta = importlib.import_module("ellid.theta")  # the package re-exports a function theta
 
 REQUIRED_IDS = [
     "geo", "basic-g", "bigid", "bigid-hyper", "sum-cubes", "spc-4i", "spc-4ii",
@@ -134,11 +136,11 @@ def test_eindef_substitution_identity(draws):
         p2 = p * p
         k = draws.rng.randint(0, 8)
         try:
-            lhs = (factorial_scaled(a / (b * c * p), q, p2, k)[0]
-                   / factorial_scaled(a * q / (c * p), q, p2, k)[0])
+            lhs = (factorial_scaled(a / (b * c * p), q, p2, k)
+                   / factorial_scaled(a * q / (c * p), q, p2, k))
             rhs = (cpow(b * q, -k)
-                   * factorial_scaled(b * c * p / a, 1 / q, p2, k)[0]
-                   / factorial_scaled(c * p / (a * q), 1 / q, p2, k)[0])
+                   * factorial_scaled(b * c * p / a, 1 / q, p2, k)
+                   / factorial_scaled(c * p / (a * q), 1 / q, p2, k))
         except ZeroDivisionError:
             continue
         done += 1
@@ -254,6 +256,36 @@ def test_evaluate_rejects_non_finite_parameters(ident, params, bad):
         evaluate(ident, params, 3)
 
 
+_TELA = {"a": 0.4, "b": 0.3, "q": 0.5, "p": 0.2}
+
+
+@pytest.mark.parametrize("check, message", [
+    # a missing name, an extra name and a bad integer kind, in each entry
+    # point that reads parameters
+    (lambda: evaluate("tel-c", {"a": 0.4, "b": 0.3, "q": 0.5}, 3), "tel-c is missing p"),
+    (lambda: evaluate("geo", {"q": 0.5, "zz": 1}, 3), "geo has no parameter zz"),
+    (lambda: evaluate("tel-a", {**_TELA, "m": -1}, 3),
+     "tel-a needs m of kind non-negative-integer, got m = -1"),
+    (lambda: evaluate("tel-a", {**_TELA, "m": 2.5}, 3),
+     "tel-a needs m of kind non-negative-integer, got m = 2.5"),
+    (lambda: reduce_chain_check("tel-c-a", "sp1", {"q": float("nan")}, 3),
+     "parameters must be finite, got q=nan"),
+    (lambda: reduce_chain_check("tel-c-a", "sp1", {}, 3), "sp1 is missing q"),
+    (lambda: eval_exact("spc-2", 3, {}), "spc-2 is missing c, d, g, h"),
+])
+def test_every_check_shares_one_parameter_rule(check, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check()
+
+
+def test_exact_modes_may_omit_q_alone():
+    prm = {"c": 1, "d": 1, "g": 1, "h": 1}
+    assert evaluate("spc-2", prm, 2, MODE_EXACT_Q).passed
+    assert evaluate("spc-2", {**prm, "q": 0.5 + 0.1j}, 2).passed
+    with pytest.raises(ValueError, match="spc-2 is missing q"):
+        evaluate("spc-2", prm, 2)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0, -1.0, 2.0, float("inf")])
 def test_checks_reject_tol_outside_unit_interval(tol):
     # run_suite's and `ellid verify`'s rule holds in the library too: at
@@ -366,7 +398,7 @@ def test_indefinite_sums_test_only_the_factors_they_read(monkeypatch):
 
     # n = 3: 8 running factorials step 3 times each (24 thetas), plus 4 top
     # thetas and den0, less 3 memo hits (theta(a) twice, theta(a q^2) once)
-    monkeypatch.setattr(ellid.elliptic, "theta_scaled", counted)
+    monkeypatch.setattr(theta, "theta_scaled", counted)
     prm = {"a": 0.3 + 0.2j, "b": 0.7, "c": 0.6 - 0.1j, "q": 0.5 + 0.1j, "p": 0.2}
     get_identity("ft-indef").lhs(ThetaEnv(), prm, 3)
     assert len(calls) == 26
@@ -416,7 +448,7 @@ def test_full_elliptic_sides_memoise_theta(monkeypatch):
         monkeypatch.setitem(ellid.identities._CATALOG, ident,
                             dataclasses.replace(desc, env=env))
 
-    monkeypatch.setattr(ellid.elliptic, "theta_scaled", record)
+    monkeypatch.setattr(theta, "theta_scaled", record)
     for ident in ids:
         counted_env(ident)
         envs.clear()

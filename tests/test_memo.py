@@ -1,17 +1,24 @@
 """Every memo hit of an environment is what a fresh computation returns.
 
-One environment serves both sides of a check, and it memoises theta
-(ThetaEnv), q^z (QEnv.qpow) and a full-elliptic context's num and wt.  The
-audit wraps each memoised method so that every call also computes its value
-without that memo and compares the two bit for bit: exponent, mantissa and
-the sign of every zero.  Two broken keys show that the audit can fail.
+One environment serves both sides of a check, and it memoises theta and
+keeps one record per nome (ThetaEnv), q^z (QEnv.qpow) and a full-elliptic
+context's num and wt.  The audit wraps each memoised method so that every
+call also computes its value without that memo and compares the two bit for
+bit: exponent, mantissa and the sign of every zero.  A reused nome record is
+compared with a fresh one on every power it holds.  Three broken keys show
+that the audit can fail.
 """
 
-import ellid.elliptic
+import cmath
+import importlib
+
 from ellid._scaled import ScaledComplex, exact_key
-from ellid.elliptic import FullEllipticCtx, QEnv, ThetaEnv
+from ellid.elliptic import FullEllipticCtx, QEnv
 from ellid.harness import SampleConfig, sample_edge_params, sample_params
 from ellid.identities import NumericQ, evaluate, reduce_chain_check
+from ellid.theta import ThetaEnv, _Nome
+
+theta = importlib.import_module("ellid.theta")  # the package re-exports a function theta
 
 N = 4
 FULL = ["bigid", "tel-a", "tel-b", "basic-g", "m3rising", "sum-even", "tel-c"]
@@ -21,16 +28,18 @@ PINNED = {"tel-a": {"m": 2}, "tel-b": {"m": 2}}
 
 
 def _bits(v):
-    if isinstance(v, tuple):
+    if isinstance(v, (tuple, list)):
         return tuple(_bits(x) for x in v)
     if isinstance(v, ScaledComplex):
         return (v.e, v.m.real.hex(), v.m.imag.hex())
+    if isinstance(v, complex):
+        return (v.real.hex(), v.imag.hex())
     return v.hex()
 
 
 def _audit(monkeypatch):
     """Wrap the memoised methods; returns (mismatches, hits per memo)."""
-    bad, hits = [], {"theta": 0, "qpow": 0, "num": 0, "wt": 0}
+    bad, hits = [], {"theta": 0, "record": 0, "qpow": 0, "num": 0, "wt": 0}
 
     def check(name, memo, before, got, fresh, args):
         hits[name] += len(memo) == before
@@ -43,7 +52,20 @@ def _audit(monkeypatch):
         before = len(self._theta)
         got = theta_of(self, x, p)
         check("theta", self._theta, before, got,
-              ellid.elliptic.theta_scaled(self.lift(x), p), (x, p))
+              theta.theta_scaled(self.lift(x), p), (x, p))
+        return got
+
+    record = ThetaEnv._record
+
+    def audited_record(self, p, key):
+        before = len(self._records)
+        got = record(self, p, key)
+        if p != 0:
+            # every power the record holds, against a record built afresh
+            fresh, ks = _Nome(p, abs(p)), list(got.ipows)
+            check("record", self._records, before,
+                  ([got.ipows[k] for k in ks], got.pjs),
+                  ([fresh.ipow(k) for k in ks], fresh.powers(len(got.pjs))), (p,))
         return got
 
     qpow = QEnv.qpow
@@ -68,6 +90,7 @@ def _audit(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ThetaEnv, "_theta_of", audited_theta)
+    monkeypatch.setattr(ThetaEnv, "_record", audited_record)
     monkeypatch.setattr(QEnv, "qpow", audited_qpow)
     for name in ("num", "wt"):
         monkeypatch.setattr(FullEllipticCtx, name, audited(name))
@@ -95,7 +118,7 @@ def test_audit_fails_a_theta_key_without_the_nome(monkeypatch):
         key = exact_key(x)
         hit = self._theta.get(key)
         if hit is None:
-            hit = self._theta[key] = ellid.elliptic.theta_scaled(x, p)
+            hit = self._theta[key] = theta.theta_scaled(x, p)
         return hit
 
     # a theta-family environment is asked at p and at p^2
@@ -105,6 +128,46 @@ def test_audit_fails_a_theta_key_without_the_nome(monkeypatch):
     env.theta(x, p)
     env.theta(x, p * p)
     assert bad == [("theta", (x, p * p))]
+
+
+def test_nome_records_equal_fresh_records(monkeypatch):
+    # one environment asked at every argument and nome, signed-zero pair
+    # and p = 0 included; arguments far outside the annulus need powers of
+    # p for their reduction
+    bad, hits = _audit(monkeypatch)
+    p = 0.41 * cmath.exp(2.3j)
+    nomes = [p, p * p, 0, complex(-0.3, 0.0), complex(-0.3, -0.0), -0.3]
+    args = [0.7 + 0.2j, 5.0, -2.0, 0.01j, 123 - 4j,
+            ScaledComplex.from_exp(complex(40, 1)), ScaledComplex.from_exp(complex(-300, -2))]
+    env = ThetaEnv()
+    for a in args:
+        for nome in nomes:
+            env.theta(a, nome)
+    assert bad == []
+    assert hits["record"] == (len(args) - 1) * (len(nomes) - 1)
+
+
+def test_audit_fails_a_nome_key_without_sign_bits(monkeypatch):
+    # complex(-0.3, 0.0) and complex(-0.3, -0.0) lie on either side of the
+    # branch cut of the logarithm inside ipow, so a record shared by the
+    # two holds powers that a fresh record of the second does not
+    def record(self, p, key):
+        if p == 0:
+            return p
+        key = (p.real, p.imag)
+        rec = self._records.get(key)
+        if rec is None:
+            rec = self._records[key] = theta._nome(p)
+        return rec
+
+    monkeypatch.setattr(ThetaEnv, "_record", record)
+    bad, _ = _audit(monkeypatch)
+    env = ThetaEnv()
+    env.theta(5.0, complex(-0.3, 0.0))
+    env.theta(5.0, complex(-0.3, -0.0))
+    # the shared record's powers differ, and so does the theta built on them
+    p = complex(-0.3, -0.0)
+    assert bad == [("record", (p,)), ("theta", (5.0, p))]
 
 
 def test_audit_fails_a_qpow_key_without_sign_bits(monkeypatch):

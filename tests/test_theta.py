@@ -4,10 +4,9 @@ import math
 import pytest
 
 from ellid._scaled import ScaledComplex, cpow, sc
-from ellid.elliptic import ThetaEnv
 from ellid.errors import DomainRejected, TruncationNotConverged, ZeroArgument
-from ellid.theta import (MAX_TERMS, NOME_SLOTS, _nomes, shifted_factorial, theta,
-                         theta_prod, theta_scaled, truncation_terms)
+from ellid.theta import (MAX_TERMS, ThetaEnv, shifted_factorial, theta, theta_prod,
+                         theta_scaled, truncation_terms)
 
 
 def test_types_validate():
@@ -31,36 +30,6 @@ def test_theta_scaled_rejects_non_finite_argument():
         for p in (0.3, 0):
             with pytest.raises(ValueError, match="theta argument a must be finite"):
                 theta_scaled(a, p)
-
-
-def _bits(result):
-    val, minfac = result
-    return val.m.real.hex(), val.m.imag.hex(), val.e, minfac.hex()
-
-
-def test_nome_cache_gives_fresh_values():
-    p = 0.41 * cmath.exp(2.3j)
-    nomes = [p, p * p, 0, complex(-0.3, 0.0), complex(-0.3, -0.0), -0.3]
-    args = [0.7 + 0.2j, 5.0, -2.0, 0.01j, 123 - 4j,
-            ScaledComplex.from_exp(complex(40, 1)), ScaledComplex.from_exp(complex(-300, -2))]
-    calls = [(a, nome) for a in args for nome in nomes]
-    _nomes.clear()
-    cached = [_bits(theta_scaled(a, nome)) for a, nome in calls]
-    assert [_bits(theta_scaled(a, nome)) for a, nome in calls] == cached
-    fresh = []
-    for a, nome in calls:
-        _nomes.clear()
-        fresh.append(_bits(theta_scaled(a, nome)))
-    assert cached == fresh
-    # the signed-zero pair lies on either side of the logarithm's branch
-    # cut, so a cache that merged the two would differ from a fresh call
-    assert any(fresh[i + 3] != fresh[i + 4] for i in range(0, len(calls), len(nomes)))
-
-
-def test_nome_cache_is_bounded():
-    for k in range(100):
-        theta_scaled(0.7 + 0.2j, 0.2 + 0.003 * k)
-    assert 0 < len(_nomes) <= NOME_SLOTS
 
 
 @pytest.mark.parametrize("p", [0.3, -0.45 + 0.2j, 0.1j])

@@ -65,12 +65,17 @@ def test_theta_matches_oracle_at_extreme_arguments(draws, exponent):
 
 
 def test_shifted_factorial_matches_oracle(draws):
-    # (a; b, p)_k against the product of k reference thetas at a b^j
+    # (a; b, p)_k against the product of k reference thetas at a b^j, and
+    # (a; b, p)_{-k} against 1 / the product of k reference thetas at a b^-j
     errs = []
     with mpmath.workdps(DPS):
         for _ in range(30):
-            a, b, p, k = draws.box(0.1), draws.q(), draws.p(0.5), draws.rng.randint(0, 6)
-            ref = mpmath.fprod(_theta(_exact(a) * _exact(b) ** j, _exact(p)) for j in range(k))
+            a, b, p, k = draws.box(0.1), draws.q(), draws.p(0.5), draws.rng.randint(-6, 6)
+            a_, b_, p_ = _exact(a), _exact(b), _exact(p)
+            if k >= 0:
+                ref = mpmath.fprod(_theta(a_ * b_ ** j, p_) for j in range(k))
+            else:
+                ref = 1 / mpmath.fprod(_theta(a_ / b_ ** j, p_) for j in range(1, -k + 1))
             errs.append(abs(shifted_factorial(a, b, p, k) - ref) / abs(ref))
     assert max(errs) <= 1e-13
 
